@@ -32,7 +32,6 @@ from .schrieffer_wolff import (
 from .lindblad import (
     MasterEquation,
     RateFunctions,
-    add_dephasing,
     add_spectroscopy_drive,
     dephasing_operator,
     dissipator_apply,
@@ -40,7 +39,6 @@ from .lindblad import (
     finite_temperature_dme,
     gibbs_state,
     standard_master_equation,
-    two_tone_corotating_dme,
     zero_temperature_dme,
 )
 from .dynamics import (
@@ -92,10 +90,8 @@ __all__ = [
     "finite_temperature_dme",
     "gibbs_state",
     "dephasing_operator",
-    "add_dephasing",
     "driven_rotating_dme",
     "add_spectroscopy_drive",
-    "two_tone_corotating_dme",
     "NumericsError",
     "Trajectory",
     "SteadyState",

@@ -31,7 +31,7 @@ from .hilbert import (
     osc_displacement,
     sigma_x_eigenket,
 )
-from .rabi import RabiParams
+from .rabi import MAX_COUPLING, MAX_QUBIT_RATIO, RabiParams
 
 __all__ = [
     "DressedBasis",
@@ -132,10 +132,7 @@ class DressedBasis:
 
     def truncated_energies(self) -> tuple[np.ndarray, np.ndarray]:
         """Harmonic-ladder energies (E^-, E^+) with the constant -omega beta^2 dropped."""
-        p = self.params
-        n = np.arange(self.n_levels)
-        half = 0.5 * p.omega0 * (1.0 - 2.0 * p.beta**2)
-        return n * self.omega_minus - half, n * self.omega_plus + half
+        return self.params.ladder_energies(self.n_levels)
 
     def reduced_hamiltonian(self) -> np.ndarray:
         em, ep = self.truncated_energies()
@@ -209,20 +206,13 @@ def build_basis(
         states_plus[:, n] = (up + dn) / np.sqrt(2.0)
         states_minus[:, n] = (up - dn) / np.sqrt(2.0)
 
-    omega_plus = p.omega - 2.0 * p.omega0 * p.beta**2
-    omega_minus = p.omega + 2.0 * p.omega0 * p.beta**2
-    n = np.arange(n_levels)
-    omega_tilde = p.omega0 * (1.0 - 2.0 * p.beta**2 - 4.0 * n * p.beta**2)
-
     if energy_mode == "exact_overlap":
         ov = np.array([displaced_overlap(k, p.beta) for k in range(n_levels)])
-        base = p.omega * (n - p.beta**2)
+        base = p.omega * (np.arange(n_levels) - p.beta**2)
         energies_minus = base - 0.5 * p.omega0 * ov
         energies_plus = base + 0.5 * p.omega0 * ov
     else:
-        half = 0.5 * p.omega0 * (1.0 - 2.0 * p.beta**2)
-        energies_minus = n * omega_minus - half
-        energies_plus = n * omega_plus + half
+        energies_minus, energies_plus = p.ladder_energies(n_levels)
 
     gaps = energies_plus - energies_minus
     if p.omega0 > 0 and np.any(gaps <= 0):
@@ -243,9 +233,9 @@ def build_basis(
         states_plus=states_plus,
         energies_minus=energies_minus,
         energies_plus=energies_plus,
-        omega_minus=omega_minus,
-        omega_plus=omega_plus,
-        omega_tilde=omega_tilde,
+        omega_minus=p.omega_minus,
+        omega_plus=p.omega_plus,
+        omega_tilde=p.omega_tilde(n_levels),
     )
     v = basis.isometry
     basis.orthonormality_defect = max_abs(v.conj().T @ v - np.eye(2 * n_levels))
@@ -348,17 +338,17 @@ def validity_report(
     (the spacing that protects the dissipator from cross-terms).
     """
     notes: list[str] = []
-    quasi = p.omega0 <= 0.3 * p.omega
-    q_margin = 0.3 * p.omega - p.omega0
+    quasi = p.quasi_degenerate
+    q_margin = MAX_QUBIT_RATIO * p.omega - p.omega0
     if not quasi:
-        notes.append(f"omega0={p.omega0} exceeds the quasi-degenerate bound 0.3*omega")
+        notes.append(f"omega0={p.omega0} exceeds the quasi-degenerate bound {MAX_QUBIT_RATIO}*omega")
     if p.omega0 == 0:
         notes.append("omega0 = 0: degenerate qubit, dressed pairs coincide")
 
-    beta_ok = abs(p.beta) <= 0.2
-    beta_margin = 0.2 - abs(p.beta)
+    beta_ok = p.coupling_ok
+    beta_margin = MAX_COUPLING - abs(p.beta)
     if not beta_ok:
-        notes.append(f"|beta|={abs(p.beta)} exceeds the O(beta^4) bound 0.2")
+        notes.append(f"|beta|={abs(p.beta)} exceeds the O(beta^4) bound {MAX_COUPLING}")
 
     if p.beta != 0.0:
         n_max = int(math.floor(1.0 / (2.0 * p.beta) ** 2 + 1e-9))
@@ -372,11 +362,8 @@ def validity_report(
     secular_ok = None
     secular_margin = None
     if rates is not None:
-        omega_plus = p.omega - 2.0 * p.omega0 * p.beta**2
-        omega_minus = p.omega + 2.0 * p.omega0 * p.beta**2
-        n = np.arange(max(n_levels, 1))
-        omega_tilde = p.omega0 * (1.0 - 2.0 * p.beta**2 - 4.0 * n * p.beta**2)
-        freqs = np.concatenate([[omega_plus, omega_minus], omega_tilde])
+        omega_tilde = p.omega_tilde(max(n_levels, 1))
+        freqs = np.concatenate([[p.omega_plus, p.omega_minus], omega_tilde])
         diffs = np.abs(freqs[:, None] - freqs[None, :])
         distinct = diffs[diffs > 1e-15]
         min_spacing = float(distinct.min()) if distinct.size else 0.0

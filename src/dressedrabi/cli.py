@@ -63,7 +63,6 @@ _DEFAULTS = {
     },
     "n_cut": 40,
     "n_levels": 12,
-    "threads": 1,
     "check_truncation": False,
     "spectrum": {"keep": 12, "energy_mode": "exact_overlap"},
     "fidelity": {
@@ -138,8 +137,6 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             cfg["n_cut"] = value
         elif key == "n_levels":
             cfg["n_levels"] = value
-        elif key == "threads":
-            cfg["threads"] = value
     if cfg["n_cut"] < 2:
         raise ConfigError("n_cut must be >= 2")
     if cfg["n_levels"] < 1:
@@ -393,13 +390,14 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
     dims = SpaceDims(cfg["n_cut"])
     rates = _build_rates(cfg)
     sc = cfg["spectroscopy"]
-    gamma = rates.oscillator_rate(p.omega)
     spec_amp = sc["spec_amp"]
     if spec_amp is None:
         # default probe strength: the cross-ladder transfer rate
-        spec_amp = rates.qubit_rate(p.omega0) + 4.0 * p.beta**2 * gamma
+        spec_amp = rates.qubit_rate(p.omega0) + 4.0 * p.beta**2 * rates.oscillator_rate(p.omega)
     pump_amps = sc["pump_amps"]
     if pump_amps is None:
+        # the rate pump_family labels with: Gamma at the pump, locked to omega_-
+        gamma = rates.oscillator_rate(p.omega_minus)
         pump_amps = [gamma / 2.0 * float(np.sqrt(b)) for b in sc["baselines"]]
 
     grid = default_scan_grid(p, int(sc["grid_points"]), tuple(sc["span"]))
@@ -412,7 +410,6 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
         n_levels=cfg["n_levels"],
         dims=dims,
         solver=sc["solver"],
-        threads=cfg["threads"],
         dt=sc["dt"],
         t_start=sc["t_start"],
         window=sc["window"],
@@ -541,24 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--n-cut", type=int, default=None, dest="n_cut")
         sp.add_argument("--n-levels", type=int, default=None, dest="n_levels")
-        sp.add_argument("--threads", type=int, default=None)
-        sp.add_argument(
-            "--seedless",
-            action="store_true",
-            help="reserved; no randomness exists in this tool and the flag is rejected",
-        )
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seedless:
-            raise ConfigError("--seedless is reserved: there is no random number generator to disable")
-        cfg = resolve_config(
-            load_config(args.config),
-            {"n_cut": args.n_cut, "n_levels": args.n_levels, "threads": args.threads},
-        )
+        cfg = resolve_config(load_config(args.config), {"n_cut": args.n_cut, "n_levels": args.n_levels})
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
@@ -577,12 +563,13 @@ def main(argv=None) -> int:
         )
         print(f"{args.command}: wrote {', '.join(result['files'])} (wall {wall:.2f}s)")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # ConfigError, and the input checks of the library (parameters, rates, sizes)
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

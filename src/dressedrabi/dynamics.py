@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adiabatic import DressedBasis
-from .hilbert import max_abs
+from .hilbert import hermiticity_defect, max_abs
 from .lindblad import MasterEquation
 
 __all__ = [
@@ -61,9 +61,17 @@ def generator_scale(me: MasterEquation) -> float:
     scale = max_abs(me.hamiltonian)
     for term in me.jumps:
         scale = max(scale, term.rate)
-    if me.dephasing is not None:
-        scale = max(scale, me.dephasing[0])
     return max(scale, 1e-300)
+
+
+def _slowest_relaxation_rate(me: MasterEquation) -> float:
+    """Smallest positive rate of a non-Hermitian jump, the default time unit of the solvers.
+
+    A Hermitian jump (pure dephasing through S_z) moves no population and so
+    sets no relaxation time.
+    """
+    rates = [term.rate for term in me.jumps if term.rate > 0 and hermiticity_defect(term.op) > 0]
+    return min(rates) if rates else generator_scale(me)
 
 
 def _prepare_state(me: MasterEquation, rho0: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,13 +259,7 @@ def build_superoperator(me: MasterEquation) -> np.ndarray:
     d = me.dim
     eye = np.eye(d, dtype=complex)
     sup = hamiltonian_superoperator(me.hamiltonian)
-    terms = list(me.jumps)
-    if me.dephasing is not None:
-        gamma_f, sz = me.dephasing
-        from .lindblad import JumpTerm
-
-        terms.append(JumpTerm(gamma_f, sz, 0.0, "dephasing"))
-    for term in terms:
+    for term in me.jumps:
         op = term.op
         odo = op.conj().T @ op
         sup += term.rate * (
@@ -342,8 +344,9 @@ def steady_state_nullspace(
         rho, clipped = _clip_and_report(rho)
         residual = float(max_abs(me.rhs(rho)))
     except np.linalg.LinAlgError:
-        rho, clipped, residual = None, 0.0, math.inf
-    if residual > residual_tol * scale:
+        residual = math.inf
+    # written so that a NaN residual fails the check
+    if not residual <= residual_tol * scale:
         # retry with the explicitly appended trace row and least squares
         stacked = np.vstack([sup, weight * trace_row[None, :]])
         rhs = np.zeros(d * d + 1, dtype=complex)
@@ -352,7 +355,7 @@ def steady_state_nullspace(
         rho = _unvec(v, d)
         rho, clipped = _clip_and_report(rho)
         residual = float(max_abs(me.rhs(rho)))
-        if residual > residual_tol * scale:
+        if not residual <= residual_tol * scale:
             raise NumericsError(
                 f"nullspace residual {residual:.3g} exceeds {residual_tol:.1g} * scale; "
                 "the generator may have a degenerate steady family"
@@ -379,8 +382,7 @@ def steady_state_longtime(
         raise ValueError("long-time solver requires a time-independent generator")
     scale = generator_scale(me)
     rho, _ = _prepare_state(me, rho0)
-    rates = [term.rate for term in me.jumps if term.rate > 0]
-    slowest = min(rates) if rates else scale
+    slowest = _slowest_relaxation_rate(me)
     block = block_time if block_time is not None else 5.0 / slowest
     limit = max_time if max_time is not None else 200.0 / slowest
     t = 0.0
@@ -411,16 +413,14 @@ def steady_state_timeaveraged(
 ) -> SteadyState:
     """Steady state of a (possibly time-dependent) generator by time averaging.
 
-    Integrates past a burn-in ``t_start`` (default 10 over the slowest jump
-    rate), then averages the state over ``window``.  For a driven generator
+    Integrates past a burn-in ``t_start`` (default 10 over the slowest
+    relaxation rate), then averages the state over ``window``.  For a driven generator
     the window must cover at least 20 periods of the slowest drive tone.
     The peak-to-peak oscillation of each observable over the window is
     reported instead of a residual threshold.
     """
-    rates = [term.rate for term in me.jumps if term.rate > 0]
-    slowest = min(rates) if rates else generator_scale(me)
     if t_start is None:
-        t_start = 10.0 / slowest
+        t_start = 10.0 / _slowest_relaxation_rate(me)
     if me.drive:
         min_tone = min(abs(tone.frequency) for tone in me.drive)
         min_window = 20.0 * 2.0 * math.pi / min_tone

@@ -17,7 +17,6 @@ from scipy.linalg import expm
 
 __all__ = [
     "SpaceDims",
-    "fock",
     "basis_ket",
     "osc_annihilation",
     "osc_displacement",
@@ -28,15 +27,9 @@ __all__ = [
     "displacement",
     "displaced_fock",
     "laguerre",
-    "tensor",
-    "dagger",
     "commutator",
-    "expectation",
     "max_abs",
-    "normalize",
     "hermiticity_defect",
-    "density_matrix_defects",
-    "assert_density_matrix",
     "trace_distance",
 ]
 
@@ -54,15 +47,6 @@ class SpaceDims:
     @property
     def total_dim(self) -> int:
         return 2 * self.n_cut
-
-
-def fock(n: int, n_cut: int) -> np.ndarray:
-    """Oscillator number state |n> as a length-n_cut complex vector."""
-    if not 0 <= n < n_cut:
-        raise IndexError(f"Fock index {n} outside 0..{n_cut - 1}")
-    ket = np.zeros(n_cut, dtype=complex)
-    ket[n] = 1.0
-    return ket
 
 
 def basis_ket(qubit_index: int, n: int, dims: SpaceDims) -> np.ndarray:
@@ -188,29 +172,10 @@ def laguerre(n: int, x: float) -> float:
 # generic algebra helpers
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
-
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    """Real part of tr(op rho); warns when the imaginary defect exceeds 1e-9."""
-    if op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {op.shape} vs {rho.shape}")
-    val = np.trace(op @ rho)
-    scale = max(1.0, abs(val))
-    if abs(val.imag) > 1e-9 * scale:
-        warnings.warn(f"expectation has imaginary defect {val.imag:.3g}", stacklevel=2)
-    return float(val.real)
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -218,38 +183,8 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def normalize(ket: np.ndarray) -> np.ndarray:
-    nrm = np.linalg.norm(ket)
-    if nrm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return ket / nrm
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     return max_abs(a - a.conj().T)
-
-
-def density_matrix_defects(rho: np.ndarray) -> tuple[float, float, float]:
-    """(hermiticity defect, trace defect, minimum eigenvalue) of a candidate state."""
-    herm = hermiticity_defect(rho)
-    tr = abs(np.trace(rho) - 1.0)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    return herm, float(tr), min_eig
-
-
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = -1e-8,
-) -> None:
-    herm, tr, min_eig = density_matrix_defects(rho)
-    if herm > herm_tol:
-        raise ValueError(f"state not Hermitian: defect {herm:.3g} > {herm_tol:.3g}")
-    if tr > trace_tol:
-        raise ValueError(f"state trace defect {tr:.3g} > {trace_tol:.3g}")
-    if min_eig < eig_floor:
-        raise ValueError(f"state has negative eigenvalue {min_eig:.3g} < {eig_floor:.3g}")
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

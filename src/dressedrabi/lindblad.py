@@ -1,8 +1,8 @@
 """Lindblad generators: standard, dressed, thermal, dephasing, and driven forms.
 
 A :class:`MasterEquation` bundles a Hamiltonian, a list of weighted jump
-operators, an optional pure-dephasing double-commutator term, and optional
-classical drive tones.  Generators built from a :class:`DressedBasis` are
+operators (pure dephasing is one of them, the Hermitian jump S_z), and
+optional classical drive tones.  Generators built from a :class:`DressedBasis` are
 stored in the exact reduced dressed coordinates (rep = "dressed"), where the
 retained subspace is the whole representation; the bare-operator generator
 lives on the full truncated space (rep = "full").
@@ -31,12 +31,16 @@ __all__ = [
     "finite_temperature_dme",
     "gibbs_state",
     "dephasing_operator",
-    "add_dephasing",
-    "dephasing_as_jump",
     "driven_rotating_dme",
     "add_spectroscopy_drive",
-    "two_tone_corotating_dme",
 ]
+
+
+def _finite_nonnegative(name: str, value: float) -> float:
+    """Rates and the temperature must be finite and >= 0; NaN fails the comparison."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} = {value} must be finite and >= 0")
+    return value
 
 
 def _as_rate_fn(value):
@@ -62,10 +66,8 @@ class RateFunctions:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_f < 0:
-            raise ValueError(f"gamma_f must be >= 0, got {self.gamma_f}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        for name in ("gamma_f", "temperature"):
+            _finite_nonnegative(name, getattr(self, name))
         self._Gamma_fn = _as_rate_fn(self.Gamma)
         self._gamma_fn = _as_rate_fn(self.gamma)
 
@@ -74,16 +76,10 @@ class RateFunctions:
         return cls(Gamma=float(Gamma0), gamma=float(gamma0), gamma_f=gamma_f, temperature=temperature)
 
     def oscillator_rate(self, freq: float) -> float:
-        val = float(self._Gamma_fn(freq))
-        if val < 0:
-            raise ValueError(f"Gamma({freq}) = {val} is negative")
-        return val
+        return _finite_nonnegative(f"Gamma({freq})", float(self._Gamma_fn(freq)))
 
     def qubit_rate(self, freq: float) -> float:
-        val = float(self._gamma_fn(freq))
-        if val < 0:
-            raise ValueError(f"gamma({freq}) = {val} is negative")
-        return val
+        return _finite_nonnegative(f"gamma({freq})", float(self._gamma_fn(freq)))
 
     def thermal_occupation(self, freq: float) -> float:
         """Bose occupation 1/(exp(freq/T) - 1); zero at T = 0."""
@@ -120,7 +116,6 @@ class MasterEquation:
 
     hamiltonian: np.ndarray
     jumps: list[JumpTerm] = field(default_factory=list)
-    dephasing: tuple[float, np.ndarray] | None = None
     drive: list[DriveTone] = field(default_factory=list)
     rep: str = "full"
     basis: DressedBasis | None = None
@@ -130,20 +125,15 @@ class MasterEquation:
         dim = self.hamiltonian.shape[0]
         if self.hamiltonian.shape != (dim, dim):
             raise ValueError("hamiltonian must be square")
+        if not np.all(np.isfinite(self.hamiltonian)):
+            raise ValueError("hamiltonian has non-finite entries")
         scale = max(max_abs(self.hamiltonian), 1.0)
         if hermiticity_defect(self.hamiltonian) > 1e-10 * scale:
             raise ValueError("hamiltonian is not Hermitian within 1e-10")
         for term in self.jumps:
-            if term.rate < 0:
-                raise ValueError(f"negative jump rate {term.rate} ({term.label})")
+            _finite_nonnegative(f"jump rate ({term.label})", term.rate)
             if term.op.shape != (dim, dim):
                 raise ValueError(f"jump operator shape mismatch ({term.label})")
-        if self.dephasing is not None:
-            gamma_f, sz = self.dephasing
-            if gamma_f < 0:
-                raise ValueError(f"negative dephasing rate {gamma_f}")
-            if hermiticity_defect(sz) > 1e-10 * max(max_abs(sz), 1.0):
-                raise ValueError("dephasing operator is not Hermitian within 1e-10")
         # lazy caches: vectorized static generator and stacked jump algebra
         self._superop = None
         self._jump_cache = None
@@ -174,23 +164,17 @@ class MasterEquation:
             else:
                 ops = np.zeros((0, d, d), dtype=complex)
                 odo_sum = np.zeros((d, d), dtype=complex)
-            sz2 = None
-            if self.dephasing is not None:
-                sz2 = self.dephasing[1] @ self.dephasing[1]
-            self._jump_cache = (ops, odo_sum, sz2)
+            self._jump_cache = (ops, odo_sum)
         return self._jump_cache
 
     def rhs(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Generator applied to a state: d(rho)/dt at time ``t``."""
         h = self.hamiltonian_at(t)
         out = -1j * (h @ rho - rho @ h)
-        ops, odo_sum, sz2 = self._jumps_stacked()
+        ops, odo_sum = self._jumps_stacked()
         if ops.shape[0]:
             out += np.einsum("kij,jl,kml->im", ops, rho, ops.conj(), optimize=True)
             out -= 0.5 * (odo_sum @ rho + rho @ odo_sum)
-        if self.dephasing is not None:
-            gamma_f, sz = self.dephasing
-            out -= 0.5 * gamma_f * (sz2 @ rho + rho @ sz2 - 2.0 * (sz @ rho @ sz))
         return out
 
 
@@ -306,75 +290,32 @@ def dephasing_operator(b: DressedBasis) -> np.ndarray:
     return b.expand(b.reduced_dephasing_op())
 
 
-def add_dephasing(me: MasterEquation, gamma_f: float, sz: np.ndarray) -> MasterEquation:
-    """Attach the double-commutator dephasing term -(gamma_f/2)[S_z,[S_z, rho]].
-
-    ``sz`` must live in the same representation as the generator.
-    """
-    if gamma_f < 0:
-        raise ValueError("gamma_f must be >= 0")
-    if sz.shape != me.hamiltonian.shape:
-        raise ValueError("dephasing operator shape mismatch")
-    if gamma_f == 0.0:
-        return me
-    return replace(me, dephasing=(gamma_f, sz), metadata={**me.metadata, "dephasing": gamma_f})
-
-
-def dephasing_as_jump(me: MasterEquation) -> MasterEquation:
-    """Equivalent generator with the dephasing re-expressed as a jump (gamma_f, S_z).
-
-    For Hermitian S_z, gamma_f D[S_z] equals the double-commutator form; the
-    two must agree to numerical precision.
-    """
-    if me.dephasing is None:
-        return me
-    gamma_f, sz = me.dephasing
-    jumps = list(me.jumps) + [JumpTerm(gamma_f, sz, frequency=0.0, label="dephasing")]
-    return replace(me, jumps=jumps, dephasing=None)
-
-
-def _pump_rates(b: DressedBasis, rates: RateFunctions) -> tuple[float, float, np.ndarray]:
-    gp = rates.oscillator_rate(b.omega_plus)
-    gm = rates.oscillator_rate(b.omega_minus)
-    if abs(gp - gm) > 1e-12 * max(gp, gm, 1e-300):
-        warnings.warn(
-            "Gamma(omega_+) != Gamma(omega_-): the driven generator assumes a flat "
-            "oscillator spectral density across the two ladders",
-            stacklevel=3,
-        )
-    beta = b.params.beta
-    kappas = np.array(
-        [
-            rates.qubit_rate(f) + 4.0 * beta**2 * rates.oscillator_rate(f)
-            for f in b.omega_tilde
-        ]
-    )
-    if kappas.size and max_abs(kappas - kappas[0]) > 1e-12 * max(kappas.max(), 1e-300):
-        warnings.warn(
-            "cross-ladder rate kappa varies with N; the constant-kappa sector flow "
-            "relations hold only approximately",
-            stacklevel=3,
-        )
-    return gp, gm, kappas
-
-
-def _rotating_hamiltonian(b: DressedBasis, pump_amp: float, pump_freq: float) -> np.ndarray:
-    """Frame of the pump: H_AD - omega_p (a_+^dag a_+ + a_-^dag a_-) + pump drive.
+def _pump_frame_hamiltonian(
+    b: DressedBasis,
+    pump_amp: float,
+    pump_freq: float,
+    spec_amp: float,
+    spec_freq: float | None,
+) -> np.ndarray:
+    """H_AD - omega_p (a_+^dag a_+ + a_-^dag a_-) + pump drive, optionally probe-rotated.
 
     Equals Delta_+- a_+-^dag a_+- plus the dressed-pair splitting
     (omega0/2)(1-2 beta^2)(1_+ - 1_-); the splitting term is invisible to any
     state confined to one ladder but sets the resonance condition for drives
-    that connect the ladders.
+    that connect the ladders.  With a probe, the splitting is rotated at
+    omega_s, which replaces it by its detuning (omega0(1-2 beta^2) - omega_s)/2
+    and makes the cross-ladder probe term static.
     """
-    L = b.n_levels
-    n = np.arange(L, dtype=float)
-    delta_plus = b.omega_plus - pump_freq
-    delta_minus = b.omega_minus - pump_freq
-    half = 0.5 * b.params.omega0 * (1.0 - 2.0 * b.params.beta**2)
-    diag = np.concatenate([n * delta_minus - half, n * delta_plus + half])
+    n = np.arange(b.n_levels, dtype=float)
+    half = b.params.half_splitting
+    if spec_freq is not None:
+        half -= 0.5 * spec_freq
+    diag = np.concatenate([n * (b.omega_minus - pump_freq) - half, n * (b.omega_plus - pump_freq) + half])
     h = np.diag(diag).astype(complex)
     drive = b.reduced_ladder("+") + b.reduced_ladder("-")
     h += pump_amp * (drive + drive.conj().T)
+    if spec_freq is not None:
+        h += _cross_drive_op(b, spec_amp)
     return h
 
 
@@ -383,6 +324,8 @@ def driven_rotating_dme(
     rates: RateFunctions,
     pump_amp: float,
     pump_freq: float,
+    spec_amp: float = 0.0,
+    spec_freq: float | None = None,
 ) -> MasterEquation:
     """Pumped dressed master equation in the frame rotating at the pump frequency.
 
@@ -390,30 +333,44 @@ def driven_rotating_dme(
     drive Delta_+- a_+-^dag a_+- + Omega_p(a_+- + a_+-^dag) with damping
     Gamma, the ladders stay coupled by the incoherent cross jumps at rate
     kappa = gamma(omega_tilde_N) + 4 beta^2 Gamma(omega_tilde_N), and pure
-    dephasing acts through S_z.  Time independent.
+    dephasing acts through the jump (gamma_f, S_z).  Time independent.
+
+    With ``spec_freq`` set, the generator is the two-tone one in the pump +
+    probe co-rotating frame, carrying the cross-ladder probe of amplitude
+    ``spec_amp``.  The counter-rotating probe component at 2 omega_s is
+    dropped; its relative weight is (2 beta Omega_s / 2 omega_s)^2.  Ladder
+    occupations are frame invariants, so steady excitation numbers computed
+    here match the time-averaged two-tone dynamics.
     """
-    gp, gm, kappas = _pump_rates(b, rates)
-    jumps = [
-        JumpTerm(gp, b.reduced_ladder("+"), b.omega_plus, "ladder_plus"),
-        JumpTerm(gm, b.reduced_ladder("-"), b.omega_minus, "ladder_minus"),
-    ]
-    for n in range(b.n_levels):
-        jumps.append(JumpTerm(float(kappas[n]), b.reduced_cross(n), float(b.omega_tilde[n]), f"cross_{n}"))
-    me = MasterEquation(
-        hamiltonian=_rotating_hamiltonian(b, pump_amp, pump_freq),
+    if spec_freq is None and spec_amp != 0.0:
+        raise ValueError("a probe amplitude needs a probe frequency spec_freq")
+    jumps = _dme_jumps(b, rates)
+    gp, gm = jumps[0].rate, jumps[1].rate
+    if abs(gp - gm) > 1e-12 * max(gp, gm, 1e-300):
+        warnings.warn(
+            "Gamma(omega_+) != Gamma(omega_-): the driven generator assumes a flat "
+            "oscillator spectral density across the two ladders",
+            stacklevel=2,
+        )
+    kappas = np.array([term.rate for term in jumps[2:]])
+    if kappas.size and max_abs(kappas - kappas[0]) > 1e-12 * max(kappas.max(), 1e-300):
+        warnings.warn(
+            "cross-ladder rate kappa varies with N; the constant-kappa sector flow "
+            "relations hold only approximately",
+            stacklevel=2,
+        )
+    if rates.gamma_f > 0:
+        jumps.append(JumpTerm(rates.gamma_f, b.reduced_dephasing_op(), 0.0, "dephasing"))
+    metadata = {"kind": "driven_rotating", "pump_amp": pump_amp, "pump_freq": pump_freq, "frame": "pump"}
+    if spec_freq is not None:
+        metadata.update(kind="two_tone_corotating", spec_amp=spec_amp, spec_freq=spec_freq, frame="pump+probe")
+    return MasterEquation(
+        hamiltonian=_pump_frame_hamiltonian(b, pump_amp, pump_freq, spec_amp, spec_freq),
         jumps=jumps,
         rep="dressed",
         basis=b,
-        metadata={
-            "kind": "driven_rotating",
-            "pump_amp": pump_amp,
-            "pump_freq": pump_freq,
-            "frame": "pump",
-        },
+        metadata=metadata,
     )
-    if rates.gamma_f > 0:
-        me = add_dephasing(me, rates.gamma_f, b.reduced_dephasing_op())
-    return me
 
 
 def _cross_drive_op(b: DressedBasis, spec_amp: float) -> np.ndarray:
@@ -448,42 +405,3 @@ def add_spectroscopy_drive(
         metadata={**me.metadata, "spec_amp": spec_amp, "spec_freq": spec_freq},
     )
 
-
-def two_tone_corotating_dme(
-    b: DressedBasis,
-    rates: RateFunctions,
-    pump_amp: float,
-    pump_freq: float,
-    spec_amp: float,
-    spec_freq: float,
-) -> MasterEquation:
-    """Time-independent two-tone generator in the pump + probe co-rotating frame.
-
-    On top of the pump frame, the dressed-pair splitting is rotated at the
-    probe frequency, which makes the kept cross-ladder probe term static and
-    replaces the splitting by its detuning (omega0(1-2 beta^2) - omega_s)/2.
-    The counter-rotating probe component at 2 omega_s is dropped; its
-    relative weight is (2 beta Omega_s / 2 omega_s)^2.  Ladder occupations
-    and their observables are frame invariants, so steady excitation numbers
-    computed here match the time-averaged two-tone dynamics.
-    """
-    me = driven_rotating_dme(b, rates, pump_amp, pump_freq)
-    L = b.n_levels
-    n = np.arange(L, dtype=float)
-    half_det = 0.5 * (b.params.omega0 * (1.0 - 2.0 * b.params.beta**2) - spec_freq)
-    diag = np.concatenate([n * (b.omega_minus - pump_freq) - half_det, n * (b.omega_plus - pump_freq) + half_det])
-    h = np.diag(diag).astype(complex)
-    drive = b.reduced_ladder("+") + b.reduced_ladder("-")
-    h += pump_amp * (drive + drive.conj().T)
-    h += _cross_drive_op(b, spec_amp)
-    return replace(
-        me,
-        hamiltonian=h,
-        metadata={
-            **me.metadata,
-            "kind": "two_tone_corotating",
-            "spec_amp": spec_amp,
-            "spec_freq": spec_freq,
-            "frame": "pump+probe",
-        },
-    )

@@ -67,6 +67,34 @@ class RabiParams:
     def coupling_ok(self) -> bool:
         return abs(self.beta) <= MAX_COUPLING
 
+    # -- dressed-ladder frequencies: every module reads them from here --------
+
+    @property
+    def omega_plus(self) -> float:
+        """Upper-ladder spacing omega_+ = omega - 2 omega0 beta^2."""
+        return self.omega - 2.0 * self.omega0 * self.beta**2
+
+    @property
+    def omega_minus(self) -> float:
+        """Lower-ladder spacing omega_- = omega + 2 omega0 beta^2."""
+        return self.omega + 2.0 * self.omega0 * self.beta**2
+
+    @property
+    def half_splitting(self) -> float:
+        """Half the dressed-pair splitting, (omega0/2)(1 - 2 beta^2)."""
+        return 0.5 * self.omega0 * (1.0 - 2.0 * self.beta**2)
+
+    def omega_tilde(self, n_levels: int) -> np.ndarray:
+        """Pair splittings omega_tilde_N = omega0 (1 - 2 beta^2 - 4 N beta^2), N < n_levels."""
+        n = np.arange(n_levels)
+        return self.omega0 * (1.0 - 2.0 * self.beta**2 - 4.0 * n * self.beta**2)
+
+    def ladder_energies(self, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+        """Harmonic-ladder energies E_N^+- = N omega_+- +- (omega0/2)(1 - 2 beta^2), as (E^-, E^+)."""
+        n = np.arange(n_levels)
+        half = self.half_splitting
+        return n * self.omega_minus - half, n * self.omega_plus + half
+
 
 @dataclass
 class Spectrum:

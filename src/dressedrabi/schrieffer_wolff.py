@@ -93,14 +93,10 @@ def sw_energies(p: RabiParams, n_levels: int) -> SwEnergies:
     n = np.arange(n_levels)
     cf_plus = 0.5 * p.omega0 + wp * (n + 0.5)
     cf_minus = -0.5 * p.omega0 + wm * (n + 0.5)
-    qp = p.omega - 2.0 * p.omega0 * p.beta**2
-    qm = p.omega + 2.0 * p.omega0 * p.beta**2
-    qd_plus = 0.5 * p.omega0 + qp * (n + 0.5)
-    qd_minus = -0.5 * p.omega0 + qm * (n + 0.5)
+    qd_plus = 0.5 * p.omega0 + p.omega_plus * (n + 0.5)
+    qd_minus = -0.5 * p.omega0 + p.omega_minus * (n + 0.5)
     # harmonic-ladder dressed energies differ from these by a constant; check it
-    half = 0.5 * p.omega0 * (1.0 - 2.0 * p.beta**2)
-    dressed_plus = n * qp + half
-    dressed_minus = n * qm - half
+    dressed_minus, dressed_plus = p.ladder_energies(n_levels)
     gaps = np.concatenate(
         [qd_plus - dressed_plus - 0.5 * p.omega, qd_minus - dressed_minus - 0.5 * p.omega]
     )

@@ -12,19 +12,13 @@ ladder.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adiabatic import build_basis
 from .hilbert import SpaceDims
-from .lindblad import (
-    RateFunctions,
-    add_spectroscopy_drive,
-    driven_rotating_dme,
-    two_tone_corotating_dme,
-)
+from .lindblad import RateFunctions, add_spectroscopy_drive, driven_rotating_dme
 from .dynamics import (
     NumericsError,
     build_superoperator,
@@ -51,8 +45,7 @@ def predicted_resonances(p: RabiParams, n_max: int) -> np.ndarray:
     """First n_max probe resonances omega_tilde_N = omega0(1 - 2 beta^2 - 4 N beta^2)."""
     if p.beta == 0.0:
         raise ValueError("resonances are undefined at beta = 0 (all collapse onto omega0)")
-    n = np.arange(n_max)
-    return p.omega0 * (1.0 - 2.0 * p.beta**2 - 4.0 * n * p.beta**2)
+    return p.omega_tilde(n_max)
 
 
 def dissipated_power(n_ss: float, omega_p: float, gamma_fun) -> float:
@@ -82,7 +75,6 @@ class SpectroscopyConfig:
     dims: SpaceDims = field(default_factory=lambda: SpaceDims(40))
     pump_freq: float | None = None
     solver: str = "corotating"
-    threads: int = 1
     # time-averaged solver controls (used when solver == "timeaveraged")
     dt: float | None = None
     t_start: float | None = None
@@ -110,9 +102,7 @@ class ScanResult:
 
 def _solve_point(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup=None) -> float:
     if cfg.solver == "corotating":
-        me = two_tone_corotating_dme(
-            basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, omega_s
-        )
+        me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, omega_s)
         if diss_sup is not None:
             # the jump/dephasing part of the vectorized generator is the same
             # at every grid point; only the Hamiltonian piece moves
@@ -135,7 +125,8 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     percent reduction isolates the probe's effect.  Point solver: the
     time-independent pump+probe co-rotating generator by default, or honest
     time-dependent integration with time averaging (``solver="timeaveraged"``,
-    much slower).  Per-point failures are recorded and the scan continues.
+    much slower).  Per-point numeric failures are recorded and the scan
+    continues.
     """
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
     pump_freq = basis.omega_minus if cfg.pump_freq is None else cfg.pump_freq
@@ -155,35 +146,20 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
 
     diss_sup = None
     if cfg.solver == "corotating":
-        template = two_tone_corotating_dme(
+        template = driven_rotating_dme(
             basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, float(cfg.omega_s_grid[0])
         )
         diss_sup = build_superoperator(template) - hamiltonian_superoperator(template.hamiltonian)
 
-    def solve(idx_ws):
-        idx, ws = idx_ws
-        try:
-            return (
-                idx,
-                _solve_point(cfg, basis, pump_freq, baseline_ss.rho, float(ws), diss_sup),
-                None,
-            )
-        except (NumericsError, np.linalg.LinAlgError, ValueError) as exc:
-            return idx, float("nan"), f"{type(exc).__name__}: {exc}"
-
-    points = list(enumerate(cfg.omega_s_grid))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(solve, points))
-    else:
-        results = [solve(pt) for pt in points]
-
-    n_ss = np.empty(len(points))
+    n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
-    for idx, val, err in results:
-        n_ss[idx] = val
-        if err is not None:
-            failures.append((idx, err))
+    for idx, ws in enumerate(cfg.omega_s_grid):
+        try:
+            n_ss[idx] = _solve_point(cfg, basis, pump_freq, baseline_ss.rho, float(ws), diss_sup)
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            # a numeric failure costs one point; anything else is a bug and propagates
+            n_ss[idx] = float("nan")
+            failures.append((idx, f"{type(exc).__name__}: {exc}"))
 
     reduction = 100.0 * (baseline - n_ss) / baseline
     return ScanResult(
@@ -224,7 +200,6 @@ def pump_family(cfg: SpectroscopyConfig, pump_amps) -> list[ScanResult]:
             dims=cfg.dims,
             pump_freq=cfg.pump_freq,
             solver=cfg.solver,
-            threads=cfg.threads,
             dt=cfg.dt,
             t_start=cfg.t_start,
             window=cfg.window,

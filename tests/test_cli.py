@@ -39,9 +39,27 @@ def test_load_config_errors(tmp_path):
 
 
 def test_seedless_flag_rejected(tmp_path, capsys):
-    code = main(["validate", "--out", str(tmp_path), "--seedless"])
+    # no such flag: argparse rejects it with its usage exit code
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--out", str(tmp_path), "--seedless"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seedless" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, payload, flags",
+    [
+        ("drive", {"rates": {"Gamma": float("nan")}}, []),
+        ("validate", {"rates": {"Gamma": float("nan")}}, []),
+        ("drive", {}, ["--n-levels", "100"]),
+        ("drive", {"params": {"omega0": -0.1}}, []),
+    ],
+)
+def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "bad"), *flags])
     assert code == 2
-    assert "reserved" in capsys.readouterr().err
+    assert "config error" in capsys.readouterr().err
 
 
 def test_validate_command(tmp_path, capsys):
@@ -198,6 +216,22 @@ def test_spectroscopy_command(tmp_path):
     meta = json.loads((out / "spectroscopy.meta.json").read_text())
     assert meta["failures"] == []
     assert len(meta["baselines"]) == 2
+
+
+def test_spectroscopy_labels_follow_the_pump_rate(tmp_path):
+    # with a sloped Gamma table, Gamma(omega) != Gamma(omega_-); the requested
+    # baseline 1 still names its file, because amplitudes and labels share a rate
+    cfg_path = write_config(
+        tmp_path,
+        {
+            **BASE,
+            "rates": {"Gamma_table": [[0.9, 0.0016], [1.1, 0.0020]], "gamma": 0.000228},
+            "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]},
+        },
+    )
+    out = tmp_path / "table"
+    assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
+    assert (out / "spectroscopy_scan_n1.csv").exists()
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):

@@ -25,7 +25,6 @@ from dressedrabi.lindblad import (
     finite_temperature_dme,
     gibbs_state,
     standard_master_equation,
-    two_tone_corotating_dme,
     zero_temperature_dme,
 )
 from dressedrabi.rabi import RabiParams
@@ -204,7 +203,7 @@ def test_timeaveraged_matches_corotating_on_resonance(dims40):
     b = _basis(dims40, n_levels=8)
     rates, big, kappa = _moderate_rates(gamma_f=0.02)
     ws = float(b.omega_tilde[0])
-    fast = two_tone_corotating_dme(b, rates, big / 2, b.omega_minus, kappa, ws)
+    fast = driven_rotating_dme(b, rates, big / 2, b.omega_minus, kappa, ws)
     n_fast = observables(steady_state_nullspace(fast).rho, b)["n_total"]
 
     me = driven_rotating_dme(b, rates, big / 2, b.omega_minus)
@@ -214,6 +213,19 @@ def test_timeaveraged_matches_corotating_on_resonance(dims40):
     n_slow = observables(slow.rho, b)["n_total"]
     assert abs(n_fast - n_slow) / n_fast < 3e-3
     assert "ptp_oscillation" in slow.metadata
+
+
+def test_dephasing_sets_no_relaxation_time(dims40):
+    # the solvers' default horizons are fixed by the slowest relaxation rate,
+    # kappa here; the slower dephasing jump (gamma_f < kappa) does not set them
+    b = _basis(dims40)
+    rates, big, kappa = _moderate_rates(gamma_f=0.02)
+    me = driven_rotating_dme(b, rates, 0.1, b.omega_minus)
+    assert me.jumps[-1].label == "dephasing" and me.jumps[-1].rate < kappa
+    rho0 = np.zeros((12, 12), dtype=complex)
+    rho0[0, 0] = 1.0
+    ss = steady_state_timeaveraged(me, rho0, dt=0.1, window=1.0)
+    assert ss.metadata["t_start"] == pytest.approx(10.0 / kappa, rel=1e-12)
 
 
 def test_timeaveraged_window_guard(dims40):

@@ -7,22 +7,15 @@ from scipy.special import eval_laguerre
 from dressedrabi.hilbert import (
     SpaceDims,
     annihilation,
-    assert_density_matrix,
     basis_ket,
     commutator,
-    dagger,
-    density_matrix_defects,
     displaced_fock,
     displacement,
-    expectation,
-    fock,
     laguerre,
     max_abs,
-    normalize,
     osc_displacement,
     qubit_op,
     sigma_x_eigenket,
-    tensor,
     trace_distance,
 )
 
@@ -47,7 +40,7 @@ def test_ladder_action(dims40):
 
 def test_number_operator_exact(dims40):
     a = annihilation(dims40)
-    n_op = dagger(a) @ a
+    n_op = a.conj().T @ a
     for n in range(dims40.n_cut):
         ket = basis_ket(0, n, dims40)
         assert np.allclose(n_op @ ket, n * ket)
@@ -59,7 +52,7 @@ def test_qubit_ops(dims40):
     sz = qubit_op("sigma_z", dims40)
     sp = qubit_op("sigma_plus", dims40)
     sm = qubit_op("sigma_minus", dims40)
-    plus = np.kron(sigma_x_eigenket(+1), fock(0, dims40.n_cut))
+    plus = np.kron(sigma_x_eigenket(+1), np.eye(dims40.n_cut)[0])
     assert np.allclose(sx @ plus, plus)
     eye = qubit_op("identity", dims40)
     assert max_abs(sp @ sm + sm @ sp - eye) < 1e-14
@@ -112,7 +105,7 @@ def test_displacement_warns_when_too_large():
 
 def test_displaced_fock(dims40):
     for n in (0, 3):
-        assert np.allclose(displaced_fock(n, +1, 0.0, dims40), fock(n, dims40.n_cut))
+        assert np.allclose(displaced_fock(n, +1, 0.0, dims40), np.eye(dims40.n_cut)[n])
     beta = 0.1
     # <N_-|N_+> = exp(-2 beta^2) L_N(4 beta^2), oracle via scipy's Laguerre
     for n in range(6):
@@ -148,14 +141,10 @@ def test_laguerre_recurrence_against_scipy():
 
 def test_algebra_helpers(dims40):
     a = annihilation(dims40)
-    comm = commutator(a, dagger(a))
+    comm = commutator(a, a.conj().T)
     block = comm[: dims40.n_cut - 1, : dims40.n_cut - 1]
     # sqrt(n)*sqrt(n) rounds at the eps*n level on the top rungs
     assert max_abs(block - np.eye(dims40.n_cut - 1)) < 1e-13
-
-    n_op = dagger(a) @ a
-    two = basis_ket(0, 2, dims40)
-    assert abs(expectation(n_op, np.outer(two, two.conj())) - 2.0) < 1e-14
 
     rng = np.random.default_rng(7)
     rho = random_density(10, rng)
@@ -163,40 +152,21 @@ def test_algebra_helpers(dims40):
 
     with pytest.raises(ValueError):
         commutator(a, np.eye(3, dtype=complex))
-    with pytest.raises(ValueError):
-        expectation(np.eye(3, dtype=complex), rho)
-
-
-def test_expectation_warns_on_imaginary(dims40):
-    a = annihilation(dims40)
-    one = basis_ket(0, 1, dims40)
-    zero = basis_ket(0, 0, dims40)
-    coher = normalize(zero + 1j * one)
-    rho = np.outer(coher, coher.conj())
-    with pytest.warns(UserWarning):
-        expectation(a, rho)
 
 
 def test_tensor_ordering():
     dims = SpaceDims(3)
     # qubit index is the slow one: |g> (x) |1> sits at index n_cut + 1
-    ket = np.kron(np.array([0.0, 1.0]), fock(1, 3))
+    ket = np.kron(np.array([0.0, 1.0]), np.eye(3)[1])
     assert ket[4] == 1.0
+    assert basis_ket(1, 1, dims)[4] == 1.0
     sz = qubit_op("sigma_z", dims)
     assert sz[4, 4] == -1.0
-    assert max_abs(tensor(np.eye(2), np.eye(3)) - np.eye(6)) < 1e-15
 
 
 def test_density_matrix_checks():
     rng = np.random.default_rng(3)
     rho = random_density(6, rng)
-    herm, tr, mineig = density_matrix_defects(rho)
-    assert herm < 1e-12 and tr < 1e-12 and mineig > -1e-12
-    assert_density_matrix(rho)
-    bad = rho.copy()
-    bad[0, 1] += 0.1
-    with pytest.raises(ValueError):
-        assert_density_matrix(bad)
     assert trace_distance(rho, rho) < 1e-14
     other = random_density(6, rng)
     td = trace_distance(rho, other)

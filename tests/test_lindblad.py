@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,13 @@ from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
     RateFunctions,
-    add_dephasing,
     add_spectroscopy_drive,
-    dephasing_as_jump,
     dephasing_operator,
     dissipator_apply,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
     standard_master_equation,
-    two_tone_corotating_dme,
     zero_temperature_dme,
 )
 from dressedrabi.rabi import RabiParams, ground_state
@@ -170,7 +168,7 @@ def test_dephasing_term(basis):
     me = zero_temperature_dme(basis, rates)
     sz = basis.reduced_dephasing_op()
     gamma_f = rates.gamma_f
-    med = add_dephasing(me, gamma_f, sz)
+    med = replace(me, jumps=[*me.jumps, JumpTerm(gamma_f, sz, 0.0, "dephasing")])
     beta = basis.params.beta
 
     # populations within one ladder move only at O(beta^4)
@@ -190,23 +188,27 @@ def test_dephasing_term(basis):
     assert abs(extra[0, 12] + 0.5 * gamma_f * coeff) < 1e-15
     assert abs(coeff - 4.0) < 0.2  # ~ 2 gamma_f decay rate of the element
 
-    # gamma_f = 0 leaves the generator untouched
-    assert add_dephasing(me, 0.0, sz) is me
-
-    # double-commutator form equals the Hermitian-jump form
+    # the Hermitian jump equals the double-commutator form -(gamma_f/2)[S_z,[S_z, rho]]
     rng = np.random.default_rng(3)
     rho = random_density(24, rng)
-    assert max_abs(med.rhs(rho) - dephasing_as_jump(med).rhs(rho)) < 1e-12
+    inner = sz @ rho - rho @ sz
+    double_commutator = -0.5 * gamma_f * (sz @ inner - inner @ sz)
+    assert max_abs(med.rhs(rho) - me.rhs(rho) - double_commutator) < 1e-12
 
 
 def test_driven_rotating_structure(basis):
     rates = fig3_rates()
     me = driven_rotating_dme(basis, rates, pump_amp=0.0, pump_freq=basis.omega_minus)
     assert not me.time_dependent
-    assert me.dephasing is not None
     labels = [t.label for t in me.jumps]
     assert labels.count("ladder_plus") == 1 and labels.count("ladder_minus") == 1
     assert sum(lbl.startswith("cross_") for lbl in labels) == 12
+    # dephasing is the last jump, (gamma_f, S_z), and absent at gamma_f = 0
+    last = me.jumps[-1]
+    assert last.label == "dephasing" and last.rate == rates.gamma_f
+    assert np.array_equal(last.op, basis.reduced_dephasing_op())
+    undephased = driven_rotating_dme(basis, fig3_rates(gamma_f_scale=0.0), 0.0, basis.omega_minus)
+    assert [t.label for t in undephased.jumps] == labels[:-1]
     # pump-frame Hamiltonian: the lower ladder is exactly on resonance
     h = me.hamiltonian
     assert abs((h[1, 1] - h[0, 0]).real) < 1e-15  # Delta_- = 0
@@ -249,12 +251,24 @@ def test_spectroscopy_drive(basis):
 def test_corotating_two_tone_detunings(basis):
     rates = fig3_rates()
     ws = basis.omega_tilde[0]
-    me = two_tone_corotating_dme(basis, rates, 0.0009, basis.omega_minus, 0.0003, ws)
+    me = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, 0.0003, ws)
     assert not me.time_dependent
+    assert me.metadata["frame"] == "pump+probe"
     h = me.hamiltonian
     # pair splitting becomes omega_tilde_N - omega_s: zero on rung 0
     assert abs((h[12, 12] - h[0, 0]).real - 0.0) < 1e-15
     assert abs((h[13, 13] - h[1, 1]).real - (basis.omega_tilde[1] - ws)) < 1e-12
+    # the static probe: -2 beta Omega_s on every equal-N cross element
+    assert abs(h[0, 12] - (-2 * 0.1 * 0.0003)) < 1e-18
+    # the probe leaves the jumps and the intra-ladder Hamiltonian of the pump frame alone
+    pump_only = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus)
+    assert all(a.label == b.label and a.rate == b.rate for a, b in zip(me.jumps, pump_only.jumps))
+    assert len(me.jumps) == len(pump_only.jumps)
+    assert max_abs((h - pump_only.hamiltonian)[:12, :12] - 0.5 * ws * np.eye(12)) < 1e-15
+    with pytest.raises(ValueError):
+        driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, spec_amp=0.0003)
+    with pytest.raises(ValueError):
+        add_spectroscopy_drive(me, basis, 0.0003, ws)
 
 
 def test_validation_guards(dims40, basis):
@@ -269,3 +283,18 @@ def test_validation_guards(dims40, basis):
             hamiltonian=np.eye(2, dtype=complex),
             jumps=[JumpTerm(-0.1, np.eye(2, dtype=complex))],
         )
+    # non-finite rates and Hamiltonians are rejected, not propagated
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            RateFunctions.flat(bad, 0.1).oscillator_rate(1.0)
+        with pytest.raises(ValueError):
+            RateFunctions(gamma=lambda w, v=bad: v).qubit_rate(1.0)
+        with pytest.raises(ValueError):
+            RateFunctions.flat(0.1, 0.1, gamma_f=bad)
+        with pytest.raises(ValueError):
+            MasterEquation(
+                hamiltonian=np.eye(2, dtype=complex),
+                jumps=[JumpTerm(bad, np.eye(2, dtype=complex))],
+            )
+        with pytest.raises(ValueError):
+            MasterEquation(hamiltonian=np.diag([bad, 0.0]).astype(complex))

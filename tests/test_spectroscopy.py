@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dressedrabi import spectroscopy
+from dressedrabi.dynamics import NumericsError
 from dressedrabi.lindblad import RateFunctions
 from dressedrabi.rabi import RabiParams
 from dressedrabi.spectroscopy import (
@@ -192,18 +194,28 @@ def test_timeaveraged_solver_scan():
     assert slow.metadata["solver"] == "timeaveraged"
 
 
-def test_thread_pool_matches_serial():
+def test_scan_failure_handling(monkeypatch):
     p = fig3_params()
     rates = fig3_rates()
     gamma = rates.oscillator_rate(p.omega)
-    grid = default_scan_grid(p, 9, span=(0.8, 1.2))
-    kwargs = dict(
-        params=p, rates=rates, pump_amp=gamma / 2, spec_amp=gamma / 6,
-        omega_s_grid=grid, n_levels=10,
-    )
-    serial = run_scan(SpectroscopyConfig(**kwargs, threads=1))
-    pooled = run_scan(SpectroscopyConfig(**kwargs, threads=3))
-    assert np.array_equal(serial.n_ss, pooled.n_ss)
+    common = dict(params=p, rates=rates, pump_amp=gamma / 2, spec_amp=gamma / 6,
+                  omega_s_grid=default_scan_grid(p, 3, span=(0.8, 1.2)), n_levels=8)
+    # a config error inside a point solve (window under 20 probe periods) propagates
+    with pytest.raises(ValueError, match="window"):
+        run_scan(SpectroscopyConfig(**common, solver="timeaveraged", t_start=0.0, window=1.0))
+
+    # a numeric failure costs only its own point
+    solve = spectroscopy._solve_point
+
+    def flaky(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup=None):
+        if omega_s == cfg.omega_s_grid[1]:
+            raise NumericsError("injected")
+        return solve(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup)
+
+    monkeypatch.setattr(spectroscopy, "_solve_point", flaky)
+    res = run_scan(SpectroscopyConfig(**common))
+    assert res.failures == [(1, "NumericsError: injected")]
+    assert np.isnan(res.n_ss[1]) and np.all(np.isfinite(res.n_ss[[0, 2]]))
 
 
 def test_local_maxima_helper():
