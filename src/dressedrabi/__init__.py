@@ -34,7 +34,6 @@ from .lindblad import (
     RateFunctions,
     add_spectroscopy_drive,
     dephasing_operator,
-    dissipator_apply,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -84,7 +83,6 @@ __all__ = [
     "fidelity_comparison",
     "MasterEquation",
     "RateFunctions",
-    "dissipator_apply",
     "standard_master_equation",
     "zero_temperature_dme",
     "finite_temperature_dme",

@@ -58,7 +58,7 @@ def displaced_overlap(n: int, beta: float) -> float:
 
 def n_levels_cap(beta: float) -> tuple[int | None, int | None]:
     """(hard cap, warning threshold) on retained rungs from N << 1/(2 beta)^2."""
-    if beta == 0.0:
+    if beta * beta == 0.0:  # beta = 0, or so small that beta^2 underflows
         return None, None
     return (
         int(math.floor(0.25 / (2 * beta * beta) + 1e-9)),

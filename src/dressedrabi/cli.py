@@ -392,8 +392,8 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
     sc = cfg["spectroscopy"]
     spec_amp = sc["spec_amp"]
     if spec_amp is None:
-        # default probe strength: the cross-ladder transfer rate
-        spec_amp = rates.qubit_rate(p.omega0) + 4.0 * p.beta**2 * rates.oscillator_rate(p.omega)
+        # default probe strength: the cross-ladder transfer rate kappa(omega_tilde_0)
+        spec_amp = rates.cross_rate(p.beta, float(p.omega_tilde(1)[0]))
     pump_amps = sc["pump_amps"]
     if pump_amps is None:
         # the rate pump_family labels with: Gamma at the pump, locked to omega_-

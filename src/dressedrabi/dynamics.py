@@ -14,6 +14,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .adiabatic import DressedBasis
 from .hilbert import hermiticity_defect, max_abs
@@ -24,7 +26,6 @@ __all__ = [
     "Trajectory",
     "SteadyState",
     "evolve",
-    "build_superoperator",
     "steady_state_nullspace",
     "steady_state_longtime",
     "steady_state_timeaveraged",
@@ -241,40 +242,6 @@ def _observe(me: MasterEquation, rho: np.ndarray, extra) -> dict[str, float]:
 # steady states
 
 
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Vectorized commutator part -i[h, .] in the column-stacking convention."""
-    eye = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-
-
-def build_superoperator(me: MasterEquation) -> np.ndarray:
-    """Vectorize the static part of the generator (column-stacking convention).
-
-    vec(rho) stacks columns (Fortran order), so vec(A rho B) =
-    (B^T kron A) vec(rho).  The matrix is built once per generator and
-    cached.  Drive tones are not included.
-    """
-    if me._superop is not None:
-        return me._superop
-    d = me.dim
-    eye = np.eye(d, dtype=complex)
-    sup = hamiltonian_superoperator(me.hamiltonian)
-    for term in me.jumps:
-        op = term.op
-        odo = op.conj().T @ op
-        sup += term.rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, odo)
-            - 0.5 * np.kron(odo.T, eye)
-        )
-    me._superop = sup
-    return sup
-
-
-def _vec(rho: np.ndarray) -> np.ndarray:
-    return rho.reshape(-1, order="F")
-
-
 def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
@@ -307,14 +274,13 @@ def steady_state_nullspace(
     if me.time_dependent:
         raise ValueError("nullspace solver requires a time-independent generator")
     d = me.dim
-    sup = build_superoperator(me)
+    liouvillian = me.liouvillian()
     scale = generator_scale(me)
 
     if degeneracy_check:
-        svals = np.linalg.svd(sup, compute_uv=False)
+        _, svals, vh = np.linalg.svd(liouvillian.toarray())
         null_dim = int(np.sum(svals < 1e-12 * max(svals[0], 1e-300)))
         if null_dim > 1:
-            _, _, vh = np.linalg.svd(sup)
             family = []
             for row in vh[-null_dim:]:
                 cand = _unvec(row, d)
@@ -333,22 +299,24 @@ def steady_state_nullspace(
 
     # fold the trace row into the system: weighted trace condition added to row 0
     weight = scale
-    mod = sup.copy()
-    trace_row = _vec(np.eye(d, dtype=complex)).conj()
-    mod[0, :] += weight * trace_row
+    trace_cols = np.arange(d) * (d + 1)
+    trace_fold = csc_matrix(
+        (np.full(d, weight, dtype=complex), (np.zeros(d, dtype=int), trace_cols)), shape=liouvillian.shape
+    )
     b = np.zeros(d * d, dtype=complex)
     b[0] = weight
     try:
-        v = np.linalg.solve(mod, b)
+        v = splu(liouvillian + trace_fold).solve(b)
         rho = _unvec(v, d)
         rho, clipped = _clip_and_report(rho)
         residual = float(max_abs(me.rhs(rho)))
-    except np.linalg.LinAlgError:
+    except (RuntimeError, np.linalg.LinAlgError):
+        # splu reports an exactly singular factor as a RuntimeError
         residual = math.inf
     # written so that a NaN residual fails the check
     if not residual <= residual_tol * scale:
-        # retry with the explicitly appended trace row and least squares
-        stacked = np.vstack([sup, weight * trace_row[None, :]])
+        # retry with the explicitly appended trace row and dense least squares
+        stacked = np.vstack([liouvillian.toarray(), trace_fold[0].toarray()])
         rhs = np.zeros(d * d + 1, dtype=complex)
         rhs[-1] = weight
         v, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)

@@ -21,13 +21,10 @@ __all__ = [
     "osc_annihilation",
     "osc_displacement",
     "annihilation",
-    "number",
     "qubit_op",
     "sigma_x_eigenket",
-    "displacement",
     "displaced_fock",
     "laguerre",
-    "commutator",
     "max_abs",
     "hermiticity_defect",
     "trace_distance",
@@ -64,11 +61,6 @@ def osc_annihilation(n_cut: int) -> np.ndarray:
 def annihilation(dims: SpaceDims) -> np.ndarray:
     """Joint-space oscillator lowering operator (identity on the qubit factor)."""
     return np.kron(np.eye(2, dtype=complex), osc_annihilation(dims.n_cut))
-
-
-def number(dims: SpaceDims) -> np.ndarray:
-    a = annihilation(dims)
-    return a.conj().T @ a
 
 
 _PAULI = {
@@ -128,11 +120,6 @@ def osc_displacement(alpha: complex, n_cut: int, check: bool = True) -> np.ndarr
     return dop
 
 
-def displacement(alpha: complex, dims: SpaceDims, check: bool = True) -> np.ndarray:
-    """Joint-space displacement operator (identity on the qubit factor)."""
-    return np.kron(np.eye(2, dtype=complex), osc_displacement(alpha, dims.n_cut, check=check))
-
-
 def displaced_fock(
     n: int,
     m: int,
@@ -170,12 +157,6 @@ def laguerre(n: int, x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # generic algebra helpers
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
 
 
 def max_abs(a: np.ndarray) -> float:

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .adiabatic import DressedBasis
 from .hilbert import SpaceDims, annihilation, hermiticity_defect, max_abs, qubit_op
@@ -25,7 +26,6 @@ __all__ = [
     "JumpTerm",
     "DriveTone",
     "MasterEquation",
-    "dissipator_apply",
     "standard_master_equation",
     "zero_temperature_dme",
     "finite_temperature_dme",
@@ -81,6 +81,10 @@ class RateFunctions:
     def qubit_rate(self, freq: float) -> float:
         return _finite_nonnegative(f"gamma({freq})", float(self._gamma_fn(freq)))
 
+    def cross_rate(self, beta: float, freq: float) -> float:
+        """Cross-ladder transfer rate kappa = gamma(freq) + 4 beta^2 Gamma(freq)."""
+        return self.qubit_rate(freq) + 4.0 * beta**2 * self.oscillator_rate(freq)
+
     def thermal_occupation(self, freq: float) -> float:
         """Bose occupation 1/(exp(freq/T) - 1); zero at T = 0."""
         if self.temperature == 0.0:
@@ -134,9 +138,8 @@ class MasterEquation:
             _finite_nonnegative(f"jump rate ({term.label})", term.rate)
             if term.op.shape != (dim, dim):
                 raise ValueError(f"jump operator shape mismatch ({term.label})")
-        # lazy caches: vectorized static generator and stacked jump algebra
-        self._superop = None
-        self._jump_cache = None
+        # the sparse Liouvillian, built on first use
+        self._liouvillian = None
 
     @property
     def dim(self) -> int:
@@ -146,45 +149,60 @@ class MasterEquation:
     def time_dependent(self) -> bool:
         return bool(self.drive)
 
-    def hamiltonian_at(self, t: float) -> np.ndarray:
-        if not self.drive:
-            return self.hamiltonian
-        h = self.hamiltonian.astype(complex, copy=True)
+    def drive_hamiltonian(self, t: float) -> np.ndarray:
+        """Sum of the drive tones at time ``t``; the full Hamiltonian adds ``hamiltonian``."""
+        h = np.zeros((self.dim, self.dim), dtype=complex)
         for tone in self.drive:
             phase = tone.amplitude * np.exp(-1j * tone.frequency * t)
             h += phase * tone.op + np.conjugate(phase) * tone.op.conj().T
         return h
 
-    def _jumps_stacked(self):
-        if self._jump_cache is None:
+    def liouvillian(self) -> sparse.csc_matrix:
+        """Static part of the generator (H and jumps) as one sparse d^2 x d^2 matrix.
+
+        Column-stacking convention: vec(rho) stacks columns (Fortran order), so
+        vec(A rho B) = (B^T kron A) vec(rho).  With the effective generator
+        K = -i H - (1/2) sum_k r_k O_k^dag O_k,
+
+            L = 1 kron K + conj(K) kron 1 + sum_k r_k conj(O_k) kron O_k,
+
+        assembled from the operators' nonzeros in one COO pass.  Built on first
+        use and cached; drive tones are not included.
+        """
+        if self._liouvillian is None:
             d = self.dim
-            if self.jumps:
-                ops = np.stack([np.sqrt(term.rate) * term.op for term in self.jumps])
-                odo_sum = np.einsum("kji,kjl->il", ops.conj(), ops)
-            else:
-                ops = np.zeros((0, d, d), dtype=complex)
-                odo_sum = np.zeros((d, d), dtype=complex)
-            self._jump_cache = (ops, odo_sum)
-        return self._jump_cache
+            idx = np.arange(d)
+            active = [term for term in self.jumps if term.rate > 0]
+            k = -1j * self.hamiltonian
+            for term in active:
+                k = k - 0.5 * term.rate * (term.op.conj().T @ term.op)
+            r, c = np.nonzero(k)
+            v = k[r, c]
+            # K rho and rho K^dag
+            rows = [(r + d * idx[:, None]).ravel(), (idx + d * r[:, None]).ravel()]
+            cols = [(c + d * idx[:, None]).ravel(), (idx + d * c[:, None]).ravel()]
+            vals = [np.tile(v, d), np.repeat(v.conj(), d)]
+            # O rho O^dag
+            for term in active:
+                r, c = np.nonzero(term.op)
+                v = term.op[r, c]
+                rows.append((r + d * r[:, None]).ravel())
+                cols.append((c + d * c[:, None]).ravel())
+                vals.append(term.rate * np.outer(v.conj(), v).ravel())
+            coo = sparse.coo_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
+            )
+            self._liouvillian = coo.tocsc()
+        return self._liouvillian
 
     def rhs(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Generator applied to a state: d(rho)/dt at time ``t``."""
-        h = self.hamiltonian_at(t)
-        out = -1j * (h @ rho - rho @ h)
-        ops, odo_sum = self._jumps_stacked()
-        if ops.shape[0]:
-            out += np.einsum("kij,jl,kml->im", ops, rho, ops.conj(), optimize=True)
-            out -= 0.5 * (odo_sum @ rho + rho @ odo_sum)
+        d = self.dim
+        out = (self.liouvillian() @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
+        if self.drive:
+            hd = self.drive_hamiltonian(t)
+            out -= 1j * (hd @ rho - rho @ hd)
         return out
-
-
-def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[O] rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2."""
-    if op.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: {op.shape} vs {rho.shape}")
-    od = op.conj().T
-    odo = od @ op
-    return op @ rho @ od - 0.5 * (odo @ rho + rho @ odo)
 
 
 def standard_master_equation(
@@ -228,8 +246,7 @@ def _dme_jumps(b: DressedBasis, rates: RateFunctions) -> list[JumpTerm]:
     ]
     for n in range(b.n_levels):
         freq = float(b.omega_tilde[n])
-        rate = rates.qubit_rate(freq) + 4.0 * beta**2 * rates.oscillator_rate(freq)
-        jumps.append(JumpTerm(rate, b.reduced_cross(n), freq, f"cross_{n}"))
+        jumps.append(JumpTerm(rates.cross_rate(beta, freq), b.reduced_cross(n), freq, f"cross_{n}"))
     return jumps
 
 

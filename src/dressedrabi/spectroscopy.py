@@ -21,8 +21,6 @@ from .hilbert import SpaceDims
 from .lindblad import RateFunctions, add_spectroscopy_drive, driven_rotating_dme
 from .dynamics import (
     NumericsError,
-    build_superoperator,
-    hamiltonian_superoperator,
     observables,
     steady_state_nullspace,
     steady_state_timeaveraged,
@@ -100,13 +98,9 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _solve_point(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup=None) -> float:
+def _solve_point(cfg, basis, pump_freq, baseline_rho, omega_s) -> float:
     if cfg.solver == "corotating":
         me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, omega_s)
-        if diss_sup is not None:
-            # the jump/dephasing part of the vectorized generator is the same
-            # at every grid point; only the Hamiltonian piece moves
-            me._superop = diss_sup + hamiltonian_superoperator(me.hamiltonian)
         ss = steady_state_nullspace(me)
     else:
         me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq)
@@ -144,18 +138,11 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     if baseline <= 0:
         raise ValueError("baseline excitation number is not positive; is the pump on?")
 
-    diss_sup = None
-    if cfg.solver == "corotating":
-        template = driven_rotating_dme(
-            basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, float(cfg.omega_s_grid[0])
-        )
-        diss_sup = build_superoperator(template) - hamiltonian_superoperator(template.hamiltonian)
-
     n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
     for idx, ws in enumerate(cfg.omega_s_grid):
         try:
-            n_ss[idx] = _solve_point(cfg, basis, pump_freq, baseline_ss.rho, float(ws), diss_sup)
+            n_ss[idx] = _solve_point(cfg, basis, pump_freq, baseline_ss.rho, float(ws))
         except (NumericsError, np.linalg.LinAlgError) as exc:
             # a numeric failure costs one point; anything else is a bug and propagates
             n_ss[idx] = float("nan")

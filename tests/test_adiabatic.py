@@ -32,6 +32,8 @@ def test_n_levels_cap():
     cap, warn = n_levels_cap(0.1)
     assert (cap, warn) == (12, 5)
     assert n_levels_cap(0.0) == (None, None)
+    # beta^2 underflows to zero: no cap, not a ZeroDivisionError
+    assert n_levels_cap(1e-200) == (None, None)
 
 
 def test_build_basis_decoupled(dims40):

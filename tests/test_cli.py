@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dressedrabi.cli import ConfigError, config_digest, load_config, main, resolve_config
@@ -253,3 +254,23 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
 def test_digest_is_stable():
     cfg = resolve_config({}, {})
     assert config_digest(cfg) == config_digest(json.loads(json.dumps(cfg)))
+
+
+def test_default_probe_is_the_generator_cross_rate(tmp_path):
+    # the default probe amplitude is kappa(omega_tilde_0) = gamma + 4 beta^2 Gamma,
+    # both rates read at the lowest pair splitting omega_tilde_0 = omega0 (1 - 2 beta^2)
+    table = [[0.2, 0.0010], [1.1, 0.0020]]
+    omega_tilde_0 = 0.3 * (1.0 - 2.0 * 0.1**2)
+    sloped = 0.000228 + 4.0 * 0.1**2 * float(np.interp(omega_tilde_0, *zip(*table)))
+    flat = BASE["rates"]["gamma"] + 4.0 * 0.1**2 * BASE["rates"]["Gamma"]
+    for name, rates, expected in (("sloped", {"Gamma_table": table, "gamma": 0.000228}, sloped),
+                                  ("flat", BASE["rates"], flat)):
+        cfg_path = write_config(
+            tmp_path,
+            {**BASE, "rates": rates,
+             "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]}},
+        )
+        out = tmp_path / name
+        assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
+        meta = json.loads((out / "spectroscopy.meta.json").read_text())
+        assert meta["scan_metadata"]["spec_amp"] == pytest.approx(expected, rel=1e-14)

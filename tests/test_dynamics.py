@@ -7,7 +7,6 @@ import pytest
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     NumericsError,
-    build_superoperator,
     coherent_dressed_ket,
     evolve,
     expand_state,
@@ -30,6 +29,7 @@ from dressedrabi.lindblad import (
 from dressedrabi.rabi import RabiParams
 
 from conftest import fig3_params, random_density
+from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state
 
 
 def _basis(dims, n_levels=6, omega0=0.3, beta=0.1):
@@ -168,6 +168,15 @@ def test_nullspace_degenerate_family(dims40):
     assert ss.metadata["degenerate"] and ss.metadata["null_dim"] > 1
 
 
+def test_nullspace_singular_factor_falls_back():
+    # without dissipation the folded system is exactly singular: splu refuses it
+    # and the dense least-squares retry returns one member of the steady family
+    me = MasterEquation(hamiltonian=np.diag(np.arange(4.0)).astype(complex))
+    ss = steady_state_nullspace(me)
+    assert abs(np.trace(ss.rho) - 1.0) < 1e-12
+    assert ss.residual <= 1e-10 * 3.0
+
+
 def test_nullspace_vs_longtime(dims40):
     b = _basis(dims40)
     rates, big, _ = _moderate_rates(gamma_f=0.05)
@@ -294,12 +303,18 @@ def test_positivity_clip_report(dims40):
 
 
 def test_superoperator_matches_rhs(dims40):
+    # the sparse Liouvillian, rhs and steady state against the dense kron reference
     b = _basis(dims40)
     rates, _, _ = _moderate_rates(gamma_f=0.03)
-    me = driven_rotating_dme(b, rates, 0.07, b.omega_minus)
-    sup = build_superoperator(me)
+    pumped = driven_rotating_dme(b, rates, 0.07, b.omega_minus)
+    probed = add_spectroscopy_drive(pumped, b, 0.02, 0.9 * b.params.omega0)
+    sme = standard_master_equation(fig3_params(), RateFunctions.flat(0.3, 0.2), SpaceDims(6))
     rng = np.random.default_rng(12)
-    rho = random_density(12, rng)
-    direct = me.rhs(rho)
-    via_sup = sup @ rho.reshape(-1, order="F")
-    assert max_abs(via_sup.reshape((12, 12), order="F") - direct) < 1e-12
+    for me in (pumped, probed, sme):
+        d = me.dim
+        assert max_abs(me.liouvillian().toarray() - dense_liouvillian(me)) < 1e-12
+        rho = random_density(d, rng)
+        assert max_abs(me.rhs(rho, 0.7) - dense_rhs(me, rho, 0.7)) < 1e-12
+    for me in (pumped, sme):
+        ss = steady_state_nullspace(me)
+        assert max_abs(ss.rho - dense_steady_state(me)) < 1e-12

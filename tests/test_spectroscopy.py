@@ -207,10 +207,10 @@ def test_scan_failure_handling(monkeypatch):
     # a numeric failure costs only its own point
     solve = spectroscopy._solve_point
 
-    def flaky(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup=None):
+    def flaky(cfg, basis, pump_freq, baseline_rho, omega_s):
         if omega_s == cfg.omega_s_grid[1]:
             raise NumericsError("injected")
-        return solve(cfg, basis, pump_freq, baseline_rho, omega_s, diss_sup)
+        return solve(cfg, basis, pump_freq, baseline_rho, omega_s)
 
     monkeypatch.setattr(spectroscopy, "_solve_point", flaky)
     res = run_scan(SpectroscopyConfig(**common))
