@@ -166,29 +166,35 @@ class MasterEquation:
 
             L = 1 kron K + conj(K) kron 1 + sum_k r_k conj(O_k) kron O_k,
 
-        assembled from the operators' nonzeros in one COO pass.  Built on first
-        use and cached; drive tones are not included.
+        assembled from the operators' nonzeros in one COO pass.  K takes its
+        O_k^dag O_k from the same products of nonzeros as the O_k rho O_k^dag
+        block, not from dense matrix products: a small product per jump calls
+        the threaded BLAS, whose cost then swings with the load on the other
+        cores.  Built on first use and cached; drive tones are not included.
         """
         if self._liouvillian is None:
             d = self.dim
             idx = np.arange(d)
             active = [term for term in self.jumps if term.rate > 0]
             k = -1j * self.hamiltonian
-            for term in active:
-                k = k - 0.5 * term.rate * (term.op.conj().T @ term.op)
-            r, c = np.nonzero(k)
-            v = k[r, c]
-            # K rho and rho K^dag
-            rows = [(r + d * idx[:, None]).ravel(), (idx + d * r[:, None]).ravel()]
-            cols = [(c + d * idx[:, None]).ravel(), (idx + d * c[:, None]).ravel()]
-            vals = [np.tile(v, d), np.repeat(v.conj(), d)]
-            # O rho O^dag
+            rows, cols, vals = [], [], []
             for term in active:
                 r, c = np.nonzero(term.op)
                 v = term.op[r, c]
+                pairs = term.rate * np.outer(v.conj(), v)
+                # O rho O^dag
                 rows.append((r + d * r[:, None]).ravel())
                 cols.append((c + d * c[:, None]).ravel())
-                vals.append(term.rate * np.outer(v.conj(), v).ravel())
+                vals.append(pairs.ravel())
+                # O^dag O from the same pairs: those of nonzeros in one row of O
+                i, j = np.nonzero(r[:, None] == r)
+                np.add.at(k, (c[i], c[j]), -0.5 * pairs[i, j])
+            r, c = np.nonzero(k)
+            v = k[r, c]
+            # K rho and rho K^dag
+            rows += [(r + d * idx[:, None]).ravel(), (idx + d * r[:, None]).ravel()]
+            cols += [(c + d * idx[:, None]).ravel(), (idx + d * c[:, None]).ravel()]
+            vals += [np.tile(v, d), np.repeat(v.conj(), d)]
             coo = sparse.coo_matrix(
                 (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
             )

@@ -17,6 +17,8 @@ from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import generator_scale, steady_state_nullspace
 from dressedrabi.hilbert import SpaceDims, max_abs
 from dressedrabi.lindblad import (
+    JumpTerm,
+    MasterEquation,
     RateFunctions,
     driven_rotating_dme,
     finite_temperature_dme,
@@ -47,9 +49,28 @@ def _basis(omega0: float, beta: float, n_levels: int):
                            energy_mode="truncated")
 
 
+def _generic(draw):
+    """A random Hermitian H and jumps with several nonzeros in a row and a column.
+
+    Every jump operator the program builds has at most one nonzero per row and
+    per column, so pairing the nonzeros of O^dag O by row or by column gives
+    the same sum on those; on these it does not.
+    """
+    d = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sparse_matrix():
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return g * (rng.random((d, d)) < 0.6)
+
+    h = sparse_matrix()
+    jumps = [JumpTerm(draw(st.floats(0.01, 0.4)), sparse_matrix()) for _ in range(draw(st.integers(1, 3)))]
+    return MasterEquation(hamiltonian=h + h.conj().T, jumps=jumps)
+
+
 @st.composite
 def generators(draw):
-    """A dressed (zero or finite T), pumped or bare-operator generator."""
+    """A dressed (zero or finite T), pumped, bare-operator or generic generator."""
     omega0, beta, n_levels = draw(params())
     big = draw(st.floats(0.01, 0.4))
     rates = RateFunctions.flat(
@@ -58,7 +79,9 @@ def generators(draw):
         gamma_f=draw(st.floats(0.0, 0.1)),
         temperature=draw(st.just(0.0) | st.floats(0.05, 0.5)),
     )
-    kind = draw(st.sampled_from(["dme", "driven", "sme"]))
+    kind = draw(st.sampled_from(["dme", "driven", "sme", "generic"]))
+    if kind == "generic":
+        return _generic(draw)
     if kind == "sme":
         return standard_master_equation(RabiParams(1.0, omega0, beta), rates, SpaceDims(n_levels + 2))
     b = _basis(omega0, beta, n_levels)
