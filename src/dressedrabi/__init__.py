@@ -33,7 +33,6 @@ from .lindblad import (
     MasterEquation,
     RateFunctions,
     add_spectroscopy_drive,
-    dephasing_operator,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -87,7 +86,6 @@ __all__ = [
     "zero_temperature_dme",
     "finite_temperature_dme",
     "gibbs_state",
-    "dephasing_operator",
     "driven_rotating_dme",
     "add_spectroscopy_drive",
     "NumericsError",

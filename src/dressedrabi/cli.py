@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -410,10 +411,11 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
         n_levels=cfg["n_levels"],
         dims=dims,
         solver=sc["solver"],
-        dt=sc["dt"],
-        t_start=sc["t_start"],
-        window=sc["window"],
     )
+    # kept as keys so that configs and their digests stay valid; no solver reads them
+    ignored = [key for key in ("t_start", "window", "dt") if sc[key] is not None]
+    if ignored:
+        warnings.warn(f"spectroscopy keys {ignored} are ignored: no solver has a burn-in, window or step")
     results = pump_family(scan_cfg, pump_amps)
 
     digest = config_digest(cfg)
@@ -453,6 +455,7 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
         "scan_metadata": results[0].metadata if results else {},
         "baselines": [r.baseline_n_ss for r in results],
         "predicted_resonances": results[0].predicted_resonances if results else [],
+        "ignored_keys": ignored,
     }
     return {"files": files, "meta": meta}
 

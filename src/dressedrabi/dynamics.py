@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_matrix
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .adiabatic import DressedBasis
@@ -30,7 +30,6 @@ __all__ = [
     "steady_state_longtime",
     "steady_state_timeaveraged",
     "observables",
-    "expand_state",
     "coherent_dressed_ket",
 ]
 
@@ -93,13 +92,6 @@ def _prepare_state(me: MasterEquation, rho0: np.ndarray) -> tuple[np.ndarray, fl
     raise ValueError(f"state shape {rho0.shape} fits neither the generator nor the full space")
 
 
-def expand_state(me: MasterEquation, rho: np.ndarray) -> np.ndarray:
-    """Map a state from the generator's representation back to the full space."""
-    if me.rep == "dressed" and me.basis is not None and rho.shape == (me.dim, me.dim):
-        return me.basis.expand(rho)
-    return rho
-
-
 def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     """Dressed-ladder observables of a state given in either representation.
 
@@ -144,7 +136,6 @@ def evolve(
     tol: float | None = None,
     stride: int = 1,
     store_states: bool = True,
-    extra_observables: dict[str, np.ndarray] | None = None,
     trace_tol: float = 1e-8,
     eig_floor: float = -1e-7,
 ) -> Trajectory:
@@ -165,7 +156,7 @@ def evolve(
 
     times = [t0]
     states = [rho.copy()] if store_states else None
-    obs_records = [_observe(me, rho, extra_observables)]
+    obs_records = [_observe(me, rho)]
 
     t = t0
     step = dt
@@ -211,7 +202,7 @@ def evolve(
             times.append(t)
             if store_states:
                 states.append(rho.copy())
-            obs_records.append(_observe(me, rho, extra_observables))
+            obs_records.append(_observe(me, rho))
 
     obs = {key: np.array([rec[key] for rec in obs_records]) for key in obs_records[0]}
     return Trajectory(
@@ -228,13 +219,10 @@ def evolve(
     )
 
 
-def _observe(me: MasterEquation, rho: np.ndarray, extra) -> dict[str, float]:
+def _observe(me: MasterEquation, rho: np.ndarray) -> dict[str, float]:
     rec: dict[str, float] = {"trace": float(np.real(np.trace(rho)))}
     if me.basis is not None:
         rec.update(observables(rho, me.basis))
-    if extra:
-        for name, op in extra.items():
-            rec[name] = float(np.real(np.trace(op @ rho)))
     return rec
 
 
@@ -258,6 +246,56 @@ def _clip_and_report(rho: np.ndarray, clip_floor: float = 1e-10):
     return rho, clipped
 
 
+# the largest system (unknowns) the lstsq retry densifies: 100 MB of complex entries
+_DENSE_MAX = 2500
+
+
+def _solve_liouvillian(system, d: int, scale: float, residual_tol: float = 1e-10):
+    """Steady state of a sparse system whose first d^2 unknowns are vec(rho_0).
+
+    The unit-trace row of rho_0, weighted by ``scale``, is folded into row 0
+    and SuperLU solves the result; a singular factor or a residual above
+    ``residual_tol * scale`` retries with dense least squares on the system
+    with the trace row appended.  rho_0 is Hermitized and clipped.  Returns
+    (rho_0, residual, clipped weight, path): the residual is max|M v - b| of
+    the folded system with the clipped rho_0 in v, which for a unit-trace
+    rho_0 is max|system v|; path is ``"splu"`` or ``"lstsq"``.
+    """
+    n = system.shape[0]
+    rows, cols = np.zeros(d, dtype=int), np.arange(d) * (d + 1)  # row 0, the diagonal of rho_0
+    fold = sparse.csc_matrix((np.full(d, scale, dtype=complex), (rows, cols)), shape=(n, n))
+
+    def finish(v):
+        rho, clipped = _clip_and_report(_unvec(v[: d * d], d))
+        v[: d * d] = rho.reshape(-1, order="F")
+        return rho, float(max_abs(system @ v)), clipped
+
+    b = np.zeros(n, dtype=complex)
+    b[0] = scale
+    path = "splu"
+    try:
+        rho, residual, clipped = finish(splu((system + fold).tocsc()).solve(b))
+    except (RuntimeError, np.linalg.LinAlgError):
+        # splu reports an exactly singular factor as a RuntimeError
+        residual = math.inf
+    # written so that a NaN residual fails the check
+    if not residual <= residual_tol * scale:
+        if n > _DENSE_MAX:
+            raise NumericsError(
+                f"splu failed (residual {residual:.3g}) and {n} unknowns exceed the dense retry's {_DENSE_MAX}"
+            )
+        path = "lstsq"
+        rhs = np.append(np.zeros(n, dtype=complex), scale)
+        v, *_ = np.linalg.lstsq(np.vstack([system.toarray(), fold[0].toarray()]), rhs, rcond=None)
+        rho, residual, clipped = finish(v)
+        if not residual <= residual_tol * scale:
+            raise NumericsError(
+                f"steady-state residual {residual:.3g} exceeds {residual_tol:.1g} * scale; "
+                "the generator may have a degenerate steady family"
+            )
+    return rho, residual, clipped, path
+
+
 def steady_state_nullspace(
     me: MasterEquation,
     residual_tol: float = 1e-10,
@@ -266,16 +304,16 @@ def steady_state_nullspace(
     """Steady state of a time-independent generator from the vectorized nullspace.
 
     Solves L vec(rho) = 0 with the unit-trace condition folded in as a linear
-    constraint, Hermitizes, and clips any negative eigenvalues at readout
-    (reported, never silently).  With ``degeneracy_check`` the nullspace
-    dimension is inspected and a degenerate family is returned in the
-    metadata instead of a single state.
+    constraint (``_solve_liouvillian``), Hermitizes, and clips any negative
+    eigenvalues at readout (reported, never silently).  ``metadata["solve"]``
+    names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.  With
+    ``degeneracy_check`` the nullspace dimension is inspected and a degenerate
+    family is returned in the metadata instead of a single state.
     """
     if me.time_dependent:
         raise ValueError("nullspace solver requires a time-independent generator")
     d = me.dim
     liouvillian = me.liouvillian()
-    scale = generator_scale(me)
 
     if degeneracy_check:
         _, svals, vh = np.linalg.svd(liouvillian.toarray())
@@ -297,43 +335,13 @@ def steady_state_nullspace(
                 metadata={"degenerate": True, "null_dim": null_dim, "family": family},
             )
 
-    # fold the trace row into the system: weighted trace condition added to row 0
-    weight = scale
-    trace_cols = np.arange(d) * (d + 1)
-    trace_fold = csc_matrix(
-        (np.full(d, weight, dtype=complex), (np.zeros(d, dtype=int), trace_cols)), shape=liouvillian.shape
-    )
-    b = np.zeros(d * d, dtype=complex)
-    b[0] = weight
-    try:
-        v = splu(liouvillian + trace_fold).solve(b)
-        rho = _unvec(v, d)
-        rho, clipped = _clip_and_report(rho)
-        residual = float(max_abs(me.rhs(rho)))
-    except (RuntimeError, np.linalg.LinAlgError):
-        # splu reports an exactly singular factor as a RuntimeError
-        residual = math.inf
-    # written so that a NaN residual fails the check
-    if not residual <= residual_tol * scale:
-        # retry with the explicitly appended trace row and dense least squares
-        stacked = np.vstack([liouvillian.toarray(), trace_fold[0].toarray()])
-        rhs = np.zeros(d * d + 1, dtype=complex)
-        rhs[-1] = weight
-        v, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-        rho = _unvec(v, d)
-        rho, clipped = _clip_and_report(rho)
-        residual = float(max_abs(me.rhs(rho)))
-        if not residual <= residual_tol * scale:
-            raise NumericsError(
-                f"nullspace residual {residual:.3g} exceeds {residual_tol:.1g} * scale; "
-                "the generator may have a degenerate steady family"
-            )
+    rho, residual, clipped, path = _solve_liouvillian(liouvillian, d, generator_scale(me), residual_tol)
     return SteadyState(
         rho=rho,
         residual=residual,
         method="nullspace",
         rep=me.rep,
-        metadata={"clipped_weight": clipped, "degenerate": False},
+        metadata={"clipped_weight": clipped, "degenerate": False, "solve": path},
     )
 
 
@@ -371,62 +379,65 @@ def steady_state_longtime(
     raise NumericsError(f"long-time residual did not reach {residual_tol:.1g}*scale by t={limit:.3g}")
 
 
-def steady_state_timeaveraged(
-    me: MasterEquation,
-    rho0: np.ndarray,
-    dt: float,
-    t_start: float | None = None,
-    window: float | None = None,
-    stride: int | None = None,
-) -> SteadyState:
-    """Steady state of a (possibly time-dependent) generator by time averaging.
+# the harmonic order K rises until rho_0 moves by at most _HARMONIC_TOL (largest entry)
+_HARMONIC_TOL = 1e-8
+_MAX_HARMONICS = 8
 
-    Integrates past a burn-in ``t_start`` (default 10 over the slowest
-    relaxation rate), then averages the state over ``window``.  For a driven generator
-    the window must cover at least 20 periods of the slowest drive tone.
-    The peak-to-peak oscillation of each observable over the window is
-    reported instead of a residual threshold.
+
+def _harmonic_system(static, a, omega: float, order: int) -> sparse.csc_matrix:
+    """Generator of the harmonics rho_k, |k| <= order, with the block of rho_0 first.
+
+    Block row k is (L + i k omega) rho_k + V+ rho_{k-1} + V- rho_{k+1}, with
+    V+ = -i[a, .] and V- = -i[a^dag, .].
     """
-    if t_start is None:
-        t_start = 10.0 / _slowest_relaxation_rate(me)
-    if me.drive:
-        min_tone = min(abs(tone.frequency) for tone in me.drive)
-        min_window = 20.0 * 2.0 * math.pi / min_tone
-        if window is None:
-            window = min_window
-        elif window < min_window:
-            raise ValueError(
-                f"window {window:.3g} too short: need >= 20 tone periods = {min_window:.3g}"
-            )
-    elif window is None:
-        window = t_start / 2.0
+    eye_d = sparse.identity(a.shape[0], dtype=complex, format="csc")
+    v_plus, v_minus = (-1j * (sparse.kron(eye_d, op) - sparse.kron(op.T, eye_d)) for op in (a, a.conj().T))
+    eye_dd = sparse.identity(static.shape[0], dtype=complex, format="csc")
+    ks = [0] + [sign * k for k in range(1, order + 1) for sign in (1, -1)]
+    rows = [{k: static + (1j * k * omega) * eye_dd, k - 1: v_plus, k + 1: v_minus} for k in ks]
+    return sparse.bmat([[row.get(j) for j in ks] for row in rows], format="csc")
 
-    rho, _ = _prepare_state(me, rho0)
-    if t_start > 0:
-        burn = evolve(me, rho, t_start, dt, store_states=True, stride=10**9)
-        rho = burn.states[-1]
-    if stride is None:
-        # cap storage at a few thousand samples while keeping the tone resolved
-        stride = max(1, int(math.ceil(window / dt / 4000.0)))
-    traj = evolve(me, rho, t_start + window, dt, t0=t_start, stride=stride, store_states=True)
-    avg = sum(traj.states) / len(traj.states)
-    avg = 0.5 * (avg + avg.conj().T)
-    ptp = {
-        key: float(np.ptp(series))
-        for key, series in traj.observables.items()
-    }
-    residual = ptp.get("n_total", max(ptp.values()) if ptp else 0.0)
+
+def steady_state_timeaveraged(me: MasterEquation) -> SteadyState:
+    """Period-averaged asymptotic state of a generator with one drive tone.
+
+    For the tone A e^{-i w t} + h.c. the asymptotic state is periodic,
+    rho(t) = sum_k rho_k e^{-i k w t}, and its period average is rho_0
+    (Floquet theory of driven open systems: M. Grifoni and P. Hanggi,
+    Phys. Rep. 304, 229 (1998)).  The harmonics |k| <= K solve one sparse
+    block-tridiagonal system (``_harmonic_system``) through
+    ``_solve_liouvillian``; K starts at 2 and rises by one until rho_0 moves
+    by at most 1e-8, or fails with ``NumericsError`` past K = 8.  ``metadata``
+    records ``harmonics`` (K), ``k_change``, ``clipped_weight`` and ``solve``.
+    Without a tone this is the nullspace solve (K = 0); two or more tones
+    raise ``ValueError``.
+    """
+    if len(me.drive) > 1:
+        raise ValueError(f"the harmonic solver takes one drive tone, got {len(me.drive)}")
+    d, scale, static = me.dim, generator_scale(me), me.liouvillian()
+    order, change = 0, 0.0
+    if not me.drive:
+        rho, residual, clipped, path = _solve_liouvillian(static, d, scale)
+    else:
+        tone = me.drive[0]
+        a = sparse.csc_matrix(tone.amplitude * tone.op)
+        rho = None
+        for order in range(2, _MAX_HARMONICS + 1):
+            prev = rho
+            rho, residual, clipped, path = _solve_liouvillian(
+                _harmonic_system(static, a, tone.frequency, order), d, scale
+            )
+            change = math.inf if prev is None else max_abs(rho - prev)
+            if change <= _HARMONIC_TOL:
+                break
+        else:
+            raise NumericsError(f"harmonics not converged at K={order}: rho_0 still moves by {change:.3g}")
     return SteadyState(
-        rho=avg,
+        rho=rho,
         residual=residual,
         method="timeaveraged",
         rep=me.rep,
-        metadata={
-            "t_start": t_start,
-            "window": window,
-            "ptp_oscillation": ptp,
-            "samples": len(traj.states),
-        },
+        metadata={"harmonics": order, "k_change": change, "clipped_weight": clipped, "solve": path},
     )
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "zero_temperature_dme",
     "finite_temperature_dme",
     "gibbs_state",
-    "dephasing_operator",
     "driven_rotating_dme",
     "add_spectroscopy_drive",
 ]
@@ -306,11 +305,6 @@ def gibbs_state(b: DressedBasis, temperature: float) -> np.ndarray:
     energies = np.concatenate([em, ep])
     weights = np.exp(-(energies - energies.min()) / temperature)
     return np.diag(weights / weights.sum()).astype(complex)
-
-
-def dephasing_operator(b: DressedBasis) -> np.ndarray:
-    """Full-space dephasing operator: +-<N_+|N_-> on the dressed ladder projectors."""
-    return b.expand(b.reduced_dephasing_op())
 
 
 def _pump_frame_hamiltonian(

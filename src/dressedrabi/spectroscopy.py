@@ -12,15 +12,18 @@ ladder.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .adiabatic import build_basis
 from .hilbert import SpaceDims
 from .lindblad import RateFunctions, add_spectroscopy_drive, driven_rotating_dme
 from .dynamics import (
     NumericsError,
+    _solve_liouvillian,
+    generator_scale,
     observables,
     steady_state_nullspace,
     steady_state_timeaveraged,
@@ -62,7 +65,10 @@ def default_scan_grid(p: RabiParams, n_points: int = 241, span: tuple[float, flo
 
 @dataclass
 class SpectroscopyConfig:
-    """Everything one scan needs; ``pump_freq=None`` locks the pump to omega_-."""
+    """Everything one scan needs; ``pump_freq=None`` locks the pump to omega_-.
+
+    ``solver`` is ``"corotating"`` or ``"timeaveraged"``; ``run_scan`` describes both.
+    """
 
     params: RabiParams
     rates: RateFunctions
@@ -73,10 +79,6 @@ class SpectroscopyConfig:
     dims: SpaceDims = field(default_factory=lambda: SpaceDims(40))
     pump_freq: float | None = None
     solver: str = "corotating"
-    # time-averaged solver controls (used when solver == "timeaveraged")
-    dt: float | None = None
-    t_start: float | None = None
-    window: float | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.omega_s_grid, dtype=float)
@@ -98,18 +100,14 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _solve_point(cfg, basis, pump_freq, baseline_rho, omega_s) -> float:
+def _solve_point(cfg, basis, me, shift, omega_s) -> float:
+    """n_total at one probe frequency, from L(0) + omega_s * ``shift`` (co-rotating)
+    or from the pump-frame ``me`` plus the probe tone (time-averaged, no ``shift``)."""
     if cfg.solver == "corotating":
-        me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, omega_s)
-        ss = steady_state_nullspace(me)
+        rho, *_ = _solve_liouvillian(me.liouvillian() + omega_s * shift, me.dim, generator_scale(me))
     else:
-        me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq)
-        me = add_spectroscopy_drive(me, basis, cfg.spec_amp, omega_s)
-        dt = cfg.dt if cfg.dt is not None else 0.1 / omega_s
-        ss = steady_state_timeaveraged(
-            me, baseline_rho, dt=dt, t_start=cfg.t_start, window=cfg.window
-        )
-    return observables(ss.rho, basis)["n_total"]
+        rho = steady_state_timeaveraged(add_spectroscopy_drive(me, basis, cfg.spec_amp, omega_s)).rho
+    return observables(rho, basis)["n_total"]
 
 
 def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
@@ -117,10 +115,13 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
 
     The baseline is the no-probe steady state with dephasing included, so the
     percent reduction isolates the probe's effect.  Point solver: the
-    time-independent pump+probe co-rotating generator by default, or honest
-    time-dependent integration with time averaging (``solver="timeaveraged"``,
-    much slower).  Per-point numeric failures are recorded and the scan
-    continues.
+    time-independent pump+probe co-rotating generator by default, built once
+    per pump: H(omega_s) = H(0) + (omega_s/2)(1_- - 1_+), so each point solves
+    L(0) + omega_s B with B = -i[(1_- - 1_+)/2, .] diagonal.  Or the exact
+    period average of the two-tone generator (``solver="timeaveraged"``), which
+    keeps the probe's counter-rotating component: one harmonic solve per
+    point, ~40x the cost (0.24 s against 6 ms at ``n_levels=12``).  Per-point
+    numeric failures are recorded and the scan continues.
     """
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
     pump_freq = basis.omega_minus if cfg.pump_freq is None else cfg.pump_freq
@@ -138,11 +139,18 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     if baseline <= 0:
         raise ValueError("baseline excitation number is not positive; is the pump on?")
 
+    if cfg.solver == "corotating":
+        # the probe frame at omega_s = 0, and B from the sector signs of the frame rotation
+        point_me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, 0.0)
+        half = np.repeat([0.5, -0.5], basis.n_levels)
+        shift = sparse.diags(-1j * (half[:, None] - half).ravel(order="F"), format="csc")
+    else:
+        point_me, shift = baseline_me, None
     n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
     for idx, ws in enumerate(cfg.omega_s_grid):
         try:
-            n_ss[idx] = _solve_point(cfg, basis, pump_freq, baseline_ss.rho, float(ws))
+            n_ss[idx] = _solve_point(cfg, basis, point_me, shift, float(ws))
         except (NumericsError, np.linalg.LinAlgError) as exc:
             # a numeric failure costs one point; anything else is a bug and propagates
             n_ss[idx] = float("nan")
@@ -177,21 +185,7 @@ def pump_family(cfg: SpectroscopyConfig, pump_amps) -> list[ScanResult]:
     """One scan per pump strength, labeled by the no-probe excitation 4 Omega_p^2/Gamma^2."""
     out = []
     for amp in pump_amps:
-        scan_cfg = SpectroscopyConfig(
-            params=cfg.params,
-            rates=cfg.rates,
-            pump_amp=float(amp),
-            spec_amp=cfg.spec_amp,
-            omega_s_grid=cfg.omega_s_grid,
-            n_levels=cfg.n_levels,
-            dims=cfg.dims,
-            pump_freq=cfg.pump_freq,
-            solver=cfg.solver,
-            dt=cfg.dt,
-            t_start=cfg.t_start,
-            window=cfg.window,
-        )
-        result = run_scan(scan_cfg)
+        result = run_scan(replace(cfg, pump_amp=float(amp)))
         gamma = cfg.rates.oscillator_rate(result.metadata["pump_freq"])
         result.metadata["label_n_ss"] = 4.0 * amp**2 / gamma**2
         out.append(result)

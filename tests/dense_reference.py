@@ -1,13 +1,18 @@
-"""Dense small-d reference for the sparse Liouvillian of ``MasterEquation``.
+"""Slow references for the fast paths of ``dressedrabi``, at small d.
 
 The generator is written here term by term, with ``np.kron`` and per-operator
 dissipators, in the column-stacking convention vec(A rho B) =
 (B^T kron A) vec(rho).  It costs d^4 memory, so it is only for the small
 spaces of the tests that check the sparse assembly, ``rhs`` and the steady
-states against it.
+states against it.  ``rk4_time_average`` is the brute-force period average
+that the harmonic solver ``steady_state_timeaveraged`` is checked against.
 """
 
+import math
+
 import numpy as np
+
+from dressedrabi.dynamics import evolve
 
 
 def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -54,3 +59,17 @@ def dense_steady_state(me) -> np.ndarray:
     rho = np.linalg.solve(sup, b).reshape((d, d), order="F")
     rho = 0.5 * (rho + rho.conj().T)
     return rho / np.real(np.trace(rho))
+
+
+def rk4_time_average(me, rho0: np.ndarray, dt: float, t_start: float) -> np.ndarray:
+    """Mean state over 20 periods of the drive tone after an RK4 burn-in to ``t_start``.
+
+    The window is sampled every ceil(window / dt / 4000) steps, so at most ~4000
+    samples are kept while the tone stays resolved.
+    """
+    window = 20 * 2.0 * math.pi / min(abs(tone.frequency) for tone in me.drive)
+    rho = evolve(me, rho0, t_start, dt, store_states=True, stride=10**9).states[-1]
+    stride = max(1, int(math.ceil(window / dt / 4000.0)))
+    traj = evolve(me, rho, t_start + window, dt, t0=t_start, stride=stride, store_states=True)
+    avg = sum(traj.states) / len(traj.states)
+    return 0.5 * (avg + avg.conj().T)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,27 @@ def test_spectroscopy_command(tmp_path):
     meta = json.loads((out / "spectroscopy.meta.json").read_text())
     assert meta["failures"] == []
     assert len(meta["baselines"]) == 2
+    assert meta["ignored_keys"] == []
+
+
+def test_spectroscopy_ignores_integrator_keys(tmp_path):
+    # t_start, window and dt stay valid keys (configs and digests keep working),
+    # but no solver reads them: a run warns and lists them in the sidecar
+    spec = {"baselines": [1.0], "grid_points": 2, "span": [1.0, 3.0], "solver": "timeaveraged"}
+    outputs = []
+    for name, extra in (("plain", {}), ("keys", {"t_start": 200.0, "window": 510.0, "dt": 0.05})):
+        cfg_path = write_config(tmp_path, {**BASE, "spectroscopy": {**spec, **extra}})
+        out = tmp_path / name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
+        ignored = [w for w in caught if "ignored" in str(w.message)]
+        assert len(ignored) == (1 if extra else 0)
+        meta = json.loads((out / "spectroscopy.meta.json").read_text())
+        assert meta["ignored_keys"] == list(extra)
+        outputs.append([line for line in (out / "spectroscopy_combined.csv").read_text().splitlines()
+                        if not line.startswith("# config_digest")])
+    assert outputs[0] == outputs[1]
 
 
 def test_spectroscopy_labels_follow_the_pump_rate(tmp_path):

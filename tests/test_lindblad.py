@@ -11,7 +11,6 @@ from dressedrabi.lindblad import (
     MasterEquation,
     RateFunctions,
     add_spectroscopy_drive,
-    dephasing_operator,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -147,7 +146,7 @@ def test_finite_t_requires_temperature(basis):
 
 
 def test_dephasing_operator(dims40, basis):
-    sz = dephasing_operator(basis)
+    sz = basis.expand(basis.reduced_dephasing_op())
     v = basis.isometry
     red = v.conj().T @ sz @ v
     beta = basis.params.beta
