@@ -33,13 +33,13 @@ sme = standard_master_equation(p, rates, dims)
 # dressed generator from the dressed ground state: nothing moves
 rho0 = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
 rho0[0, 0] = 1.0
-traj = evolve(dme, rho0, t_end=30.0, dt=0.02, stride=100)
+traj = evolve(dme, rho0, t_end=30.0, dt=0.02, stride=100, exact=True)
 print(f"DME from |Psi_0^->: final ground population {np.real(traj.states[-1][0, 0]):.12f}")
 
 # bare generator from the exact ground state: it leaks
 _, gs = ground_state(p, dims)
 ket_dressed = basis.state(0, "-")
-traj = evolve(sme, np.outer(gs, gs.conj()), t_end=30.0, dt=0.02, stride=100)
+traj = evolve(sme, np.outer(gs, gs.conj()), t_end=30.0, dt=0.02, stride=100, exact=True)
 fid = [np.real(ket_dressed.conj() @ s @ ket_dressed) for s in traj.states]
 print("SME from the exact ground state, fidelity to |Psi_0^->:")
 for t, f in zip(traj.times[::3], fid[::3]):

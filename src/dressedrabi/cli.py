@@ -287,6 +287,10 @@ def cmd_fidelity(cfg: dict, out: Path) -> dict:
     return {"files": ["fidelity.csv"], "meta": {"summaries": summaries, "validity": _validity_meta(cfg)}}
 
 
+# the per-generator propagation record of the relax sidecar
+_PROPAGATION_KEYS = ("method", "block_dim", "dropped_weight", "steps", "max_trace_drift", "min_eigenvalue")
+
+
 def cmd_relax(cfg: dict, out: Path) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
@@ -304,15 +308,13 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
     rho_dme = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
     rho_dme[0, 0] = 1.0
     ket_d = basis.state(0, "-")
-    traj_dme = evolve(dme, rho_dme, t_end, block["dt"], stride=block["stride"])
-    proj = np.zeros(basis.reduced_dim)
-    proj[0] = 1.0
+    traj_dme = evolve(dme, rho_dme, t_end, block["dt"], stride=block["stride"], exact=True)
     fid_dme = np.array([np.real(s[0, 0]) for s in traj_dme.states])
 
     # exact ground state under the bare-operator generator: leaks out
     _, gs = ground_state(p, dims)
     rho_sme = np.outer(gs, gs.conj())
-    traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"])
+    traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"], exact=True)
     fid_sme = np.array([np.real(ket_d.conj() @ s @ ket_d) for s in traj_sme.states])
 
     n = min(len(traj_dme.times), len(traj_sme.times))
@@ -347,6 +349,10 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
         "validity": _validity_meta(cfg),
         "dme_final_fidelity": float(fid_dme[-1]),
         "sme_final_fidelity": float(fid_sme[-1]),
+        "propagation": {
+            name: {key: traj.metadata[key] for key in _PROPAGATION_KEYS}
+            for name, traj in (("dme", traj_dme), ("sme", traj_sme))
+        },
     }
     return {"files": ["relax.csv", "relax_distance.csv"], "meta": meta}
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import expm_multiply, splu
 
 from .adiabatic import DressedBasis
 from .hilbert import hermiticity_defect, max_abs
@@ -126,6 +126,46 @@ def _rk4_step(me: MasterEquation, rho: np.ndarray, t: float, dt: float) -> np.nd
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _unvec(v: np.ndarray, d: int) -> np.ndarray:
+    return v.reshape((d, d), order="F")
+
+
+def _step_grid(t0: float, t_end: float, dt: float, stride: int):
+    """Steps of ``evolve``'s grid: (t, step, sample) for each step of dt from t0 to t_end.
+
+    The last step is shortened to end at t_end; ``sample`` marks every
+    ``stride``-th step and the last one.
+    """
+    horizon_eps = 1e-12 * max(abs(t_end - t0), 1.0)
+    t, taken = t0, 0
+    while t < t_end - horizon_eps:
+        step = min(dt, t_end - t)
+        taken += 1
+        yield t, step, taken % stride == 0 or t + step >= t_end - horizon_eps
+        t += step
+
+
+def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unknowns of vec(rho) reachable from the support of x, and the weight of x outside them.
+
+    A breadth-first search on the graph of L.T, one sparse product per level:
+    the set starts from the entries of x above 1e-13 max|x| and takes in every
+    i with L[i, j] != 0 for a j already in it.  So L maps a vector supported
+    on the returned (sorted) indices to one supported on them, and so does
+    exp(tL).  The weight is the sum of |x| over the sub-floor entries left
+    outside, a bound on their trace norm.
+    """
+    pattern = sparse.csc_matrix(
+        (liouvillian.data != 0, liouvillian.indices, liouvillian.indptr), shape=liouvillian.shape
+    )
+    frontier = np.abs(x) > 1e-13 * max_abs(x)
+    reached = frontier.copy()
+    while frontier.any():
+        frontier = (pattern @ frontier) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached), float(np.abs(x[~reached]).sum())
+
+
 def evolve(
     me: MasterEquation,
     rho0: np.ndarray,
@@ -133,76 +173,87 @@ def evolve(
     dt: float,
     *,
     t0: float = 0.0,
-    tol: float | None = None,
     stride: int = 1,
+    exact: bool = False,
     store_states: bool = True,
     trace_tol: float = 1e-8,
     eig_floor: float = -1e-7,
 ) -> Trajectory:
-    """Integrate d(rho)/dt = L[rho] with classical RK4.
+    """Integrate d(rho)/dt = L[rho] from t0 to t_end, sampling every ``stride`` steps of ``dt``.
 
-    ``dt`` is the (initial) step.  With ``tol`` set, each step is checked by
-    step halving: the full step is compared against two half steps and the
-    step size is halved until the Richardson error estimate drops below
-    ``tol``, doubling back when the estimate is far below it.  Drive tones
-    are evaluated exactly at the stage times.  The trace is never
-    renormalized; trace drift beyond ``trace_tol`` or a stored state with an
-    eigenvalue below ``eig_floor`` aborts with a diagnostic.
+    Samples are taken at t0 + k dt stride and at t_end.  By default classical
+    RK4 steps dt, with drive tones evaluated exactly at the stage times.  With
+    ``exact`` a time-independent generator is instead propagated exactly from
+    sample to sample by ``expm_multiply`` (A. H. Al-Mohy and N. J. Higham,
+    SIAM J. Sci. Comput. 33, 488 (2011)), restricted to the block of unknowns
+    reachable from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only
+    set the sample spacing, and a generator with drive tones raises
+    ``ValueError``.  The sub-floor entries of rho0 outside the block are
+    dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
+    The trace is never renormalized; trace drift beyond ``trace_tol`` or a
+    sample with an eigenvalue below ``eig_floor`` aborts with a diagnostic.
+    ``metadata`` records ``method`` (``"rk4"`` or ``"expm"``), ``block_dim``
+    (unknowns propagated), ``dropped_weight``, ``initial_leakage``,
+    ``max_trace_drift``, ``min_eigenvalue`` and ``steps`` (RK4 steps, or
+    exact sample intervals).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if exact and me.time_dependent:
+        raise ValueError("exact propagation needs a time-independent generator; drive tones take RK4")
     rho, leakage = _prepare_state(me, rho0)
+    d = me.dim
     trace0 = float(np.real(np.trace(rho)))
 
     times = [t0]
     states = [rho.copy()] if store_states else None
     obs_records = [_observe(me, rho)]
-
-    t = t0
-    step = dt
-    dt_min = dt * 2.0**-40
-    accepted = 0
     max_drift = 0.0
     min_eig_seen = 0.0
-    horizon_eps = 1e-12 * max(abs(t_end - t0), 1.0)
-    while t < t_end - horizon_eps:
-        step = min(step, t_end - t)
-        if tol is None:
-            rho_new = _rk4_step(me, rho, t, step)
-            taken = step
-        else:
-            while True:
-                full = _rk4_step(me, rho, t, step)
-                half = _rk4_step(me, rho, t, 0.5 * step)
-                half = _rk4_step(me, half, t + 0.5 * step, 0.5 * step)
-                err = max_abs(half - full) / 15.0
-                if err <= tol:
-                    rho_new = half
-                    taken = step
-                    if err < tol / 64.0:
-                        step = step * 2.0
-                    break
-                step *= 0.5
-                if step < dt_min:
-                    raise NumericsError(
-                        f"step size underflow at t={t:.6g} (dt={step:.3g}, err={err:.3g})"
-                    )
-        t += taken
-        rho = rho_new
-        accepted += 1
-        if accepted % stride == 0 or t >= t_end - horizon_eps:
-            drift = abs(float(np.real(np.trace(rho))) - trace0)
-            max_drift = max(max_drift, drift)
-            if drift > trace_tol:
-                raise NumericsError(f"trace drift {drift:.3g} exceeds {trace_tol:.3g} at t={t:.6g}")
-            min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-            min_eig_seen = min(min_eig_seen, min_eig)
-            if min_eig < eig_floor:
-                raise NumericsError(f"state eigenvalue {min_eig:.3g} below {eig_floor:.3g} at t={t:.6g}")
-            times.append(t)
-            if store_states:
-                states.append(rho.copy())
-            obs_records.append(_observe(me, rho))
+
+    def sample(t: float, rho: np.ndarray) -> None:
+        nonlocal max_drift, min_eig_seen
+        drift = abs(float(np.real(np.trace(rho))) - trace0)
+        max_drift = max(max_drift, drift)
+        if drift > trace_tol:
+            raise NumericsError(f"trace drift {drift:.3g} exceeds {trace_tol:.3g} at t={t:.6g}")
+        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+        min_eig_seen = min(min_eig_seen, min_eig)
+        if min_eig < eig_floor:
+            raise NumericsError(f"state eigenvalue {min_eig:.3g} below {eig_floor:.3g} at t={t:.6g}")
+        times.append(t)
+        if store_states:
+            states.append(rho.copy())
+        obs_records.append(_observe(me, rho))
+
+    if exact:
+        vec = rho.reshape(-1, order="F")
+        block, dropped = _reachable_block(me.liouvillian(), vec)
+        if dropped > 1e-10:
+            warnings.warn(
+                f"initial state has weight {dropped:.3g} outside the block reachable from its "
+                "support; that weight is dropped from the evolution",
+                stacklevel=2,
+            )
+        gen = me.liouvillian()[block][:, block].tocsr()
+        gen_trace = gen.diagonal().sum()
+        x = vec[block]
+        full = np.zeros(d * d, dtype=complex)
+        sample_times = [t + step for t, step, is_sample in _step_grid(t0, t_end, dt, stride) if is_sample]
+        for t, t_next in zip([t0] + sample_times, sample_times):
+            h = t_next - t
+            x = expm_multiply(h * gen, x, traceA=h * gen_trace)
+            full[block] = x
+            sample(t_next, _unvec(full, d))
+        steps, method, block_dim = len(sample_times), "expm", int(block.size)
+    else:
+        steps, dropped = 0, 0.0
+        for t, step, is_sample in _step_grid(t0, t_end, dt, stride):
+            rho = _rk4_step(me, rho, t, step)
+            steps += 1
+            if is_sample:
+                sample(t + step, rho)
+        method, block_dim = "rk4", d * d
 
     obs = {key: np.array([rec[key] for rec in obs_records]) for key in obs_records[0]}
     return Trajectory(
@@ -211,10 +262,13 @@ def evolve(
         observables=obs,
         rep=me.rep,
         metadata={
+            "method": method,
+            "block_dim": block_dim,
+            "dropped_weight": dropped,
             "initial_leakage": leakage,
             "max_trace_drift": max_drift,
             "min_eigenvalue": min_eig_seen,
-            "steps": accepted,
+            "steps": steps,
         },
     )
 
@@ -228,10 +282,6 @@ def _observe(me: MasterEquation, rho: np.ndarray) -> dict[str, float]:
 
 # ---------------------------------------------------------------------------
 # steady states
-
-
-def _unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return v.reshape((d, d), order="F")
 
 
 def _clip_and_report(rho: np.ndarray, clip_floor: float = 1e-10):

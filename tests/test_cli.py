@@ -166,6 +166,11 @@ def test_relax_command(tmp_path):
     meta = json.loads((out / "relax.meta.json").read_text())
     assert meta["dme_final_fidelity"] > 1 - 1e-9
     assert meta["sme_final_fidelity"] < 1 - 1e-6
+    # both generators are propagated exactly, each on the block reachable from its state
+    prop = meta["propagation"]
+    assert prop["dme"]["method"] == prop["sme"]["method"] == "expm"
+    assert prop["dme"]["block_dim"] == 1 and prop["sme"]["block_dim"] == 60**2 // 2  # the parity block
+    assert prop["sme"]["dropped_weight"] < 1e-12 and prop["sme"]["steps"] == prop["dme"]["steps"]
     # the distance table carries the closed form and the small-coupling law
     rows = [
         line.split(",")
@@ -258,17 +263,19 @@ def test_spectroscopy_labels_follow_the_pump_rate(tmp_path):
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys):
-    # an absurd integrator step makes the relax run blow through the trace check
+    # without dissipation the driven steady state is not unique: splu finds the
+    # system singular, and its 52^2 = 2704 unknowns exceed the dense retry's cap
     cfg_path = write_config(
         tmp_path,
         {
             **BASE,
-            "rates": {"Gamma": 0.1, "gamma": 0.05, "gamma_f": 0.0},
-            "relax": {"t_end_over_rate": 50.0, "dt": 40.0, "stride": 1,
-                      "beta_grid": [0.1]},
+            "params": {"omega": 1.0, "omega0": 0.3, "beta": 0.04},
+            "rates": {"Gamma": 0.0, "gamma": 0.0, "gamma_f": 0.0},
+            "n_cut": 40,
+            "n_levels": 26,
         },
     )
-    code = main(["relax", "--config", cfg_path, "--out", str(tmp_path / "boom")])
+    code = main(["drive", "--config", cfg_path, "--out", str(tmp_path / "boom")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
 

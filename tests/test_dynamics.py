@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     NumericsError,
+    _reachable_block,
+    _unvec,
     coherent_dressed_ket,
     evolve,
     observables,
@@ -25,7 +28,7 @@ from dressedrabi.lindblad import (
     standard_master_equation,
     zero_temperature_dme,
 )
-from dressedrabi.rabi import RabiParams
+from dressedrabi.rabi import RabiParams, ground_state
 
 from conftest import fig3_params, random_density
 from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state, rk4_time_average
@@ -95,15 +98,101 @@ def test_integrator_fourth_order(dims40):
     assert err[0] / err[1] >= 8.0
 
 
-def test_adaptive_matches_fixed(dims40):
+def _exact_cases(dims40):
+    """(label, generator, initial state): the bare-operator ME at n_cut = 10 and the DME."""
+    rng = np.random.default_rng(3)
+    p, dims = fig3_params(), SpaceDims(10)
+    sme = standard_master_equation(p, RateFunctions.flat(0.3, 0.2), dims)
+    _, gs = ground_state(p, dims)
+    b = _basis(dims40)
+    dme = zero_temperature_dme(b, _moderate_rates(gamma_f=0.05)[0])
+    ground = np.zeros((12, 12), dtype=complex)
+    ground[0, 0] = 1.0
+    return [
+        ("sme exact ground", sme, np.outer(gs, gs.conj())),
+        ("sme random", sme, random_density(dims.total_dim, rng)),
+        ("dme dressed ground", dme, ground),
+        ("dme random", dme, random_density(12, rng)),
+    ]
+
+
+def test_exact_matches_rk4(dims40):
+    # exact propagation against RK4 at a tenth of the CLI's step, on the same sample grid
+    for label, me, rho0 in _exact_cases(dims40):
+        fast = evolve(me, rho0, 2.0, 0.002, stride=50, exact=True)
+        slow = evolve(me, rho0, 2.0, 0.002, stride=50)
+        assert np.array_equal(fast.times, slow.times), label
+        assert len(fast.states) == 21, label
+        gap = max(max_abs(a - b) for a, b in zip(fast.states, slow.states))
+        assert gap < 1e-9, (label, gap)
+        assert fast.metadata["method"] == "expm" and slow.metadata["method"] == "rk4"
+        assert fast.metadata["steps"] == 20 and slow.metadata["steps"] == 1000
+
+
+def test_exact_block_matches_full_space(dims40):
+    # the reachable block against expm_multiply on all d^2 unknowns
+    blocks = {}
+    for label, me, rho0 in _exact_cases(dims40):
+        traj = evolve(me, rho0, 3.0, 0.02, stride=10, exact=True)
+        d = me.dim
+        x = rho0.reshape(-1, order="F")
+        for h, state in zip(np.diff(traj.times), traj.states[1:]):
+            x = expm_multiply(h * me.liouvillian(), x)
+            assert max_abs(state - x.reshape((d, d), order="F")) < 1e-12, label
+        blocks[label] = traj.metadata["block_dim"]
+        assert traj.metadata["dropped_weight"] < 1e-14, label
+    # the parity block of the exact ground state, a single unknown for the dressed one
+    assert blocks == {"sme exact ground": 200, "sme random": 400, "dme dressed ground": 1, "dme random": 144}
+
+
+def test_exact_drops_and_reports_sub_floor_weight(dims40):
+    # 5e-14 in each of the 3200 entries off the parity block of the exact ground
+    # state: each is below the seed floor of 1e-13 max|rho|, together they weigh 1.6e-10
+    p = fig3_params()
+    sme = standard_master_equation(p, RateFunctions.flat(0.3, 0.2), dims40)
+    _, gs = ground_state(p, dims40)
+    rho0 = np.outer(gs, gs.conj())
+    vec = rho0.reshape(-1, order="F")
+    off = np.setdiff1d(np.arange(vec.size), _reachable_block(sme.liouvillian(), vec)[0])
+    assert off.size == 3200
+    stray = np.zeros(vec.size, dtype=complex)
+    stray[off] = 5e-14
+    with pytest.warns(UserWarning, match="dropped"):
+        traj = evolve(sme, rho0 + _unvec(stray, sme.dim), 0.4, 0.02, stride=20, exact=True)
+    assert traj.metadata["block_dim"] == 3200
+    assert traj.metadata["dropped_weight"] == pytest.approx(3200 * 5e-14, rel=1e-3)
+
+
+def test_exact_tail_interval_keeps_the_rk4_grid(dims40):
+    # t_end is no multiple of dt * stride: the last, shorter interval ends at t_end
+    _, me, rho0 = _exact_cases(dims40)[3]
+    fast = evolve(me, rho0, 1.03, 0.02, stride=10, exact=True)
+    slow = evolve(me, rho0, 1.03, 0.02, stride=10)
+    assert np.array_equal(fast.times, slow.times)
+    assert fast.times[-2] == pytest.approx(1.0) and fast.times[-1] == 1.03
+    # RK4's own error at dt = 0.02 is 3.7e-8 here
+    assert max_abs(fast.states[-1] - slow.states[-1]) < 1e-6
+
+
+def test_exact_rejects_drive_tones(dims40):
     b = _basis(dims40)
     rates, _, _ = _moderate_rates()
-    me = driven_rotating_dme(b, rates, 0.05, b.omega_minus)
+    me = _probed(b, rates, 0.1, 0.01, 0.29)
     rho0 = np.zeros((12, 12), dtype=complex)
-    rho0[2, 2] = 1.0
-    fixed = evolve(me, rho0, 3.0, 0.005, stride=10**9).states[-1]
-    adaptive = evolve(me, rho0, 3.0, 0.1, tol=1e-10, stride=10**9).states[-1]
-    assert max_abs(fixed - adaptive) < 1e-7
+    rho0[0, 0] = 1.0
+    with pytest.raises(ValueError, match="time-independent"):
+        evolve(me, rho0, 1.0, 0.02, exact=True)
+
+
+def test_exact_checks_the_eigenvalue_floor(dims40):
+    # a negative population in |Psi_0^+> decays at kappa: still negative at the first sample
+    b = _basis(dims40)
+    me = zero_temperature_dme(b, _moderate_rates()[0])
+    rho0 = np.zeros((12, 12), dtype=complex)
+    rho0[0, 0] = 1.2
+    rho0[6, 6] = -0.2
+    with pytest.raises(NumericsError, match="eigenvalue"):
+        evolve(me, rho0, 1.0, 0.02, stride=5, exact=True)
 
 
 def test_full_space_initial_state_is_projected(dims40):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedrabi.adiabatic import build_basis
-from dressedrabi.dynamics import generator_scale, steady_state_nullspace
+from dressedrabi.dynamics import _reachable_block, generator_scale, steady_state_nullspace
 from dressedrabi.hilbert import SpaceDims, max_abs
 from dressedrabi.lindblad import (
     JumpTerm,
@@ -49,19 +49,20 @@ def _basis(omega0: float, beta: float, n_levels: int):
                            energy_mode="truncated")
 
 
-def _generic(draw):
+def _generic(draw, density: float = 0.6):
     """A random Hermitian H and jumps with several nonzeros in a row and a column.
 
     Every jump operator the program builds has at most one nonzero per row and
     per column, so pairing the nonzeros of O^dag O by row or by column gives
-    the same sum on those; on these it does not.
+    the same sum on those; on these it does not.  ``density`` is the share of
+    nonzero entries.
     """
     d = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def sparse_matrix():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return g * (rng.random((d, d)) < 0.6)
+        return g * (rng.random((d, d)) < density)
 
     h = sparse_matrix()
     jumps = [JumpTerm(draw(st.floats(0.01, 0.4)), sparse_matrix()) for _ in range(draw(st.integers(1, 3)))]
@@ -117,6 +118,24 @@ def test_sparse_steady_state_is_a_state_and_matches_dense(me):
     assert abs(np.trace(ss.rho) - 1.0) <= 1e-12
     assert np.linalg.eigvalsh(ss.rho)[0] >= -1e-12
     assert max_abs(ss.rho - dense_steady_state(me)) <= 1e-12
+
+
+@PROFILE
+@given(st.data())
+def test_reachable_block_is_invariant(data):
+    # sparse generic generators, so that the block is often a proper subset
+    me = _generic(data.draw, density=data.draw(st.floats(0.1, 0.4)))
+    n = me.dim**2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    seeds = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+    x = np.zeros(n, dtype=complex)
+    x[seeds] = rng.standard_normal(seeds.size)
+    liouvillian = me.liouvillian()
+    block, dropped = _reachable_block(liouvillian, x)
+    assert np.isin(np.flatnonzero(x), block).all() and dropped == 0.0
+    # no entry of L maps the block to its complement
+    outside = np.setdiff1d(np.arange(n), block)
+    assert np.count_nonzero(liouvillian[outside][:, block].toarray()) == 0
 
 
 @PROFILE
