@@ -8,6 +8,7 @@ distance d = 1 - |<Psi_0^-|g,0>| ~ beta^2/2 apart.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,19 +29,19 @@ rates = RateFunctions.flat(0.1, 0.05)
 
 basis = build_basis(p, n_levels=8, dims=dims, energy_mode="truncated")
 dme = zero_temperature_dme(basis, rates)
-sme = standard_master_equation(p, rates, dims)
+# with the basis attached, evolve records the population of |Psi_0^-> as "ground"
+sme = replace(standard_master_equation(p, rates, dims), basis=basis)
 
 # dressed generator from the dressed ground state: nothing moves
 rho0 = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
 rho0[0, 0] = 1.0
-traj = evolve(dme, rho0, t_end=30.0, dt=0.02, stride=100, exact=True)
-print(f"DME from |Psi_0^->: final ground population {np.real(traj.states[-1][0, 0]):.12f}")
+traj = evolve(dme, rho0, t_end=30.0, dt=0.02, stride=100, exact=True, store_states=False)
+print(f"DME from |Psi_0^->: final ground population {traj.observables['ground'][-1]:.12f}")
 
 # bare generator from the exact ground state: it leaks
 _, gs = ground_state(p, dims)
-ket_dressed = basis.state(0, "-")
-traj = evolve(sme, np.outer(gs, gs.conj()), t_end=30.0, dt=0.02, stride=100, exact=True)
-fid = [np.real(ket_dressed.conj() @ s @ ket_dressed) for s in traj.states]
+traj = evolve(sme, np.outer(gs, gs.conj()), t_end=30.0, dt=0.02, stride=100, exact=True, store_states=False)
+fid = traj.observables["ground"]
 print("SME from the exact ground state, fidelity to |Psi_0^->:")
 for t, f in zip(traj.times[::3], fid[::3]):
     print(f"   t = {t:6.1f}   fidelity = {f:.8f}")

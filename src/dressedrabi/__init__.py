@@ -15,11 +15,7 @@ from .rabi import RabiParams, exact_spectrum, ground_state, rabi_hamiltonian
 from .adiabatic import (
     DressedBasis,
     build_basis,
-    build_ladders,
     displaced_overlap,
-    dressed_hamiltonian,
-    dressed_lowering,
-    dressed_matrix_elements,
     validity_report,
 )
 from .schrieffer_wolff import (
@@ -69,11 +65,7 @@ __all__ = [
     "ground_state",
     "DressedBasis",
     "build_basis",
-    "build_ladders",
     "displaced_overlap",
-    "dressed_hamiltonian",
-    "dressed_lowering",
-    "dressed_matrix_elements",
     "validity_report",
     "sw_hamiltonian",
     "sw_energies",

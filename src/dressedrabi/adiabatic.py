@@ -6,9 +6,9 @@ ladders of entangled qubit-oscillator states,
     |Psi_N^+-> = (|+, N_+> +- |-, N_->)/sqrt(2),
 
 built from conditionally displaced Fock states |N_m> = D(-m beta)|N>.  The
-module constructs the retained basis, its ladder/projection operators, the
-effective two-oscillator Hamiltonian, and the matrix-element tables of the
-position and sigma_x couplings that drive dissipation.
+module constructs the retained basis and, in reduced coordinates, its ladder,
+projection and cross-ladder operators and the effective two-oscillator
+Hamiltonian; ``DressedBasis.expand`` carries any of them to the full space.
 
 Reduced coordinates: basis states are ordered minus ladder first, then plus
 ladder (index = N for |Psi_N^->, n_levels + N for |Psi_N^+>); operators in
@@ -39,10 +39,6 @@ __all__ = [
     "displaced_overlap",
     "n_levels_cap",
     "build_basis",
-    "build_ladders",
-    "dressed_hamiltonian",
-    "dressed_matrix_elements",
-    "dressed_lowering",
     "validity_report",
 ]
 
@@ -148,9 +144,6 @@ class DressedBasis:
         v = self.isometry
         return v.conj().T @ op_full @ v
 
-    def expand_ket(self, ket_reduced: np.ndarray) -> np.ndarray:
-        return self.isometry @ ket_reduced
-
     def project_density(self, rho_full: np.ndarray) -> tuple[np.ndarray, float]:
         """Reduced-coordinate state and the weight lost outside the retained span."""
         rho_d = self.reduce(rho_full)
@@ -245,67 +238,6 @@ def build_basis(
             "raise n_cut"
         )
     return basis
-
-
-def build_ladders(b: DressedBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Full-space (a_plus, a_minus, proj_plus, proj_minus) of the dressed ladders."""
-    return (
-        b.expand(b.reduced_ladder("+")),
-        b.expand(b.reduced_ladder("-")),
-        b.expand(b.reduced_projector("+")),
-        b.expand(b.reduced_projector("-")),
-    )
-
-
-def dressed_hamiltonian(b: DressedBasis) -> np.ndarray:
-    """Effective two-oscillator Hamiltonian (full space, harmonic-ladder energies)."""
-    return b.expand(b.reduced_hamiltonian())
-
-
-@dataclass
-class ElementTable:
-    """Matrix elements <Psi_N^s|O|Psi_M^p> organized by ladder blocks.
-
-    ``intra`` holds the (identical) minus-minus and plus-plus blocks,
-    ``cross`` the minus-plus block; ``operator`` is the full-space assembly.
-    """
-
-    which: str
-    intra: np.ndarray
-    cross: np.ndarray
-    operator: np.ndarray
-
-
-def dressed_matrix_elements(b: DressedBasis, which: str) -> ElementTable:
-    """Closed-form dressed matrix elements of the position or sigma_x coupling.
-
-    For the oscillator position (a + a^dag): intra-ladder elements are the
-    bare ladder ones, sqrt(M) delta_{N,M-1} + sqrt(M+1) delta_{N,M+1}, and the
-    cross-ladder block is -2 beta delta_{N,M}.  For sigma_x the intra blocks
-    vanish and the cross block is delta_{N,M}.
-    """
-    L = b.n_levels
-    if which == "position":
-        intra = np.zeros((L, L))
-        for n in range(L - 1):
-            intra[n, n + 1] = math.sqrt(n + 1)
-            intra[n + 1, n] = math.sqrt(n + 1)
-        cross = -2.0 * b.params.beta * np.eye(L)
-    elif which == "sigma_x":
-        intra = np.zeros((L, L))
-        cross = np.eye(L)
-    else:
-        raise ValueError(f"unknown coupling {which!r}; choose 'position' or 'sigma_x'")
-    reduced = np.block([[intra, cross], [cross.T, intra]]).astype(complex)
-    return ElementTable(which=which, intra=intra, cross=cross, operator=b.expand(reduced))
-
-
-def dressed_lowering(b: DressedBasis) -> np.ndarray:
-    """Dressed lowering operator a_- + a_+ - 2 beta sum_N |Psi_N^-><Psi_N^+| (full space)."""
-    red = b.reduced_ladder("-") + b.reduced_ladder("+")
-    for n in range(b.n_levels):
-        red += -2.0 * b.params.beta * b.reduced_cross(n)
-    return b.expand(red)
 
 
 @dataclass

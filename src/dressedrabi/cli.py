@@ -17,7 +17,7 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -300,22 +300,22 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
 
     basis = build_basis(p, cfg["n_levels"], dims, energy_mode="truncated")
     dme = zero_temperature_dme(basis, rates)
-    sme = standard_master_equation(p, rates, dims)
+    # the basis lets evolve read <Psi_0^-| rho |Psi_0^-> of the full-space states as "ground"
+    sme = replace(standard_master_equation(p, rates, dims), basis=basis)
     rate_scale = max(rates.oscillator_rate(p.omega), rates.qubit_rate(p.omega0))
     t_end = block["t_end_over_rate"] / rate_scale
 
     # dressed ground state under the dressed generator: stays put
     rho_dme = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
     rho_dme[0, 0] = 1.0
-    ket_d = basis.state(0, "-")
-    traj_dme = evolve(dme, rho_dme, t_end, block["dt"], stride=block["stride"], exact=True)
-    fid_dme = np.array([np.real(s[0, 0]) for s in traj_dme.states])
+    traj_dme = evolve(dme, rho_dme, t_end, block["dt"], stride=block["stride"], exact=True, store_states=False)
+    fid_dme = traj_dme.observables["ground"]
 
     # exact ground state under the bare-operator generator: leaks out
     _, gs = ground_state(p, dims)
     rho_sme = np.outer(gs, gs.conj())
-    traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"], exact=True)
-    fid_sme = np.array([np.real(ket_d.conj() @ s @ ket_d) for s in traj_sme.states])
+    traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"], exact=True, store_states=False)
+    fid_sme = traj_sme.observables["ground"]
 
     n = min(len(traj_dme.times), len(traj_sme.times))
     rows = [

@@ -43,7 +43,6 @@ class Trajectory:
     times: np.ndarray
     states: list[np.ndarray] | None
     observables: dict[str, np.ndarray]
-    rep: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -52,7 +51,6 @@ class SteadyState:
     rho: np.ndarray
     residual: float
     method: str
-    rep: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -96,7 +94,8 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     """Dressed-ladder observables of a state given in either representation.
 
     Returns the per-ladder excitation numbers, their sum, the two sector
-    populations, and the weight outside the retained basis.
+    populations, the population of the dressed ground state |Psi_0^->
+    (``ground``), and the weight outside the retained basis.
     """
     if rho.shape == (b.reduced_dim, b.reduced_dim):
         rho_d, leakage = rho, 0.0
@@ -113,6 +112,7 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
         "n_total": float(n @ pops[:L] + n @ pops[L:]),
         "sector_minus": float(pops[:L].sum()),
         "sector_plus": float(pops[L:].sum()),
+        "ground": float(pops[0]),
         "leakage": float(total - pops.sum()) if leakage == 0.0 else leakage,
         "trace": total,
     }
@@ -177,7 +177,6 @@ def evolve(
     exact: bool = False,
     store_states: bool = True,
     trace_tol: float = 1e-8,
-    eig_floor: float = -1e-7,
 ) -> Trajectory:
     """Integrate d(rho)/dt = L[rho] from t0 to t_end, sampling every ``stride`` steps of ``dt``.
 
@@ -191,7 +190,7 @@ def evolve(
     ``ValueError``.  The sub-floor entries of rho0 outside the block are
     dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
     The trace is never renormalized; trace drift beyond ``trace_tol`` or a
-    sample with an eigenvalue below ``eig_floor`` aborts with a diagnostic.
+    sample with an eigenvalue below -1e-7 aborts with a diagnostic.
     ``metadata`` records ``method`` (``"rk4"`` or ``"expm"``), ``block_dim``
     (unknowns propagated), ``dropped_weight``, ``initial_leakage``,
     ``max_trace_drift``, ``min_eigenvalue`` and ``steps`` (RK4 steps, or
@@ -219,8 +218,8 @@ def evolve(
             raise NumericsError(f"trace drift {drift:.3g} exceeds {trace_tol:.3g} at t={t:.6g}")
         min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
         min_eig_seen = min(min_eig_seen, min_eig)
-        if min_eig < eig_floor:
-            raise NumericsError(f"state eigenvalue {min_eig:.3g} below {eig_floor:.3g} at t={t:.6g}")
+        if min_eig < -1e-7:
+            raise NumericsError(f"state eigenvalue {min_eig:.3g} below -1e-07 at t={t:.6g}")
         times.append(t)
         if store_states:
             states.append(rho.copy())
@@ -260,7 +259,6 @@ def evolve(
         times=np.array(times),
         states=states,
         observables=obs,
-        rep=me.rep,
         metadata={
             "method": method,
             "block_dim": block_dim,
@@ -284,11 +282,11 @@ def _observe(me: MasterEquation, rho: np.ndarray) -> dict[str, float]:
 # steady states
 
 
-def _clip_and_report(rho: np.ndarray, clip_floor: float = 1e-10):
+def _clip_and_report(rho: np.ndarray):
     rho = 0.5 * (rho + rho.conj().T)
     vals, vecs = np.linalg.eigh(rho)
     clipped = float(-vals[vals < 0].sum()) if np.any(vals < 0) else 0.0
-    if vals[0] < -clip_floor:
+    if vals[0] < -1e-10:
         warnings.warn(f"steady state eigenvalue {vals[0]:.3g} clipped to zero", stacklevel=3)
     vals = np.clip(vals, 0.0, None)
     rho = (vecs * vals) @ vecs.conj().T
@@ -298,14 +296,16 @@ def _clip_and_report(rho: np.ndarray, clip_floor: float = 1e-10):
 
 # the largest system (unknowns) the lstsq retry densifies: 100 MB of complex entries
 _DENSE_MAX = 2500
+# a steady state's residual max|system v| may reach this share of the generator scale
+_RESIDUAL_TOL = 1e-10
 
 
-def _solve_liouvillian(system, d: int, scale: float, residual_tol: float = 1e-10):
+def _solve_liouvillian(system, d: int, scale: float):
     """Steady state of a sparse system whose first d^2 unknowns are vec(rho_0).
 
     The unit-trace row of rho_0, weighted by ``scale``, is folded into row 0
     and SuperLU solves the result; a singular factor or a residual above
-    ``residual_tol * scale`` retries with dense least squares on the system
+    ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
     with the trace row appended.  rho_0 is Hermitized and clipped.  Returns
     (rho_0, residual, clipped weight, path): the residual is max|M v - b| of
     the folded system with the clipped rho_0 in v, which for a unit-trace
@@ -329,7 +329,7 @@ def _solve_liouvillian(system, d: int, scale: float, residual_tol: float = 1e-10
         # splu reports an exactly singular factor as a RuntimeError
         residual = math.inf
     # written so that a NaN residual fails the check
-    if not residual <= residual_tol * scale:
+    if not residual <= _RESIDUAL_TOL * scale:
         if n > _DENSE_MAX:
             raise NumericsError(
                 f"splu failed (residual {residual:.3g}) and {n} unknowns exceed the dense retry's {_DENSE_MAX}"
@@ -338,60 +338,30 @@ def _solve_liouvillian(system, d: int, scale: float, residual_tol: float = 1e-10
         rhs = np.append(np.zeros(n, dtype=complex), scale)
         v, *_ = np.linalg.lstsq(np.vstack([system.toarray(), fold[0].toarray()]), rhs, rcond=None)
         rho, residual, clipped = finish(v)
-        if not residual <= residual_tol * scale:
+        if not residual <= _RESIDUAL_TOL * scale:
             raise NumericsError(
-                f"steady-state residual {residual:.3g} exceeds {residual_tol:.1g} * scale; "
+                f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale; "
                 "the generator may have a degenerate steady family"
             )
     return rho, residual, clipped, path
 
 
-def steady_state_nullspace(
-    me: MasterEquation,
-    residual_tol: float = 1e-10,
-    degeneracy_check: bool = False,
-) -> SteadyState:
+def steady_state_nullspace(me: MasterEquation) -> SteadyState:
     """Steady state of a time-independent generator from the vectorized nullspace.
 
     Solves L vec(rho) = 0 with the unit-trace condition folded in as a linear
     constraint (``_solve_liouvillian``), Hermitizes, and clips any negative
     eigenvalues at readout (reported, never silently).  ``metadata["solve"]``
-    names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.  With
-    ``degeneracy_check`` the nullspace dimension is inspected and a degenerate
-    family is returned in the metadata instead of a single state.
+    names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
     """
     if me.time_dependent:
         raise ValueError("nullspace solver requires a time-independent generator")
-    d = me.dim
-    liouvillian = me.liouvillian()
-
-    if degeneracy_check:
-        _, svals, vh = np.linalg.svd(liouvillian.toarray())
-        null_dim = int(np.sum(svals < 1e-12 * max(svals[0], 1e-300)))
-        if null_dim > 1:
-            family = []
-            for row in vh[-null_dim:]:
-                cand = _unvec(row, d)
-                cand = 0.5 * (cand + cand.conj().T)
-                tr = np.real(np.trace(cand))
-                if abs(tr) > 1e-12:
-                    cand = cand / tr
-                family.append(cand)
-            return SteadyState(
-                rho=family[0],
-                residual=float(max_abs(me.rhs(family[0]))),
-                method="nullspace",
-                rep=me.rep,
-                metadata={"degenerate": True, "null_dim": null_dim, "family": family},
-            )
-
-    rho, residual, clipped, path = _solve_liouvillian(liouvillian, d, generator_scale(me), residual_tol)
+    rho, residual, clipped, path = _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
     return SteadyState(
         rho=rho,
         residual=residual,
         method="nullspace",
-        rep=me.rep,
-        metadata={"clipped_weight": clipped, "degenerate": False, "solve": path},
+        metadata={"clipped_weight": clipped, "solve": path},
     )
 
 
@@ -400,17 +370,20 @@ def steady_state_longtime(
     rho0: np.ndarray,
     dt: float,
     residual_tol: float = 1e-7,
-    block_time: float | None = None,
-    max_time: float | None = None,
 ) -> SteadyState:
-    """Steady state by integrating until the generator residual is negligible."""
+    """Steady state by integrating until the generator residual is negligible.
+
+    RK4 runs in blocks of 5 over the slowest relaxation rate and stops once
+    the residual is below ``residual_tol`` times the generator scale, or fails
+    with ``NumericsError`` after 200 over that rate.
+    """
     if me.time_dependent:
         raise ValueError("long-time solver requires a time-independent generator")
     scale = generator_scale(me)
     rho, _ = _prepare_state(me, rho0)
     slowest = _slowest_relaxation_rate(me)
-    block = block_time if block_time is not None else 5.0 / slowest
-    limit = max_time if max_time is not None else 200.0 / slowest
+    block = 5.0 / slowest
+    limit = 200.0 / slowest
     t = 0.0
     while t < limit:
         traj = evolve(me, rho, block, dt, store_states=True, stride=10**9)
@@ -423,7 +396,6 @@ def steady_state_longtime(
                 rho=rho,
                 residual=float(max_abs(me.rhs(rho))),
                 method="longtime",
-                rep=me.rep,
                 metadata={"time": t, "clipped_weight": clipped},
             )
     raise NumericsError(f"long-time residual did not reach {residual_tol:.1g}*scale by t={limit:.3g}")
@@ -486,7 +458,6 @@ def steady_state_timeaveraged(me: MasterEquation) -> SteadyState:
         rho=rho,
         residual=residual,
         method="timeaveraged",
-        rep=me.rep,
         metadata={"harmonics": order, "k_change": change, "clipped_weight": clipped, "solve": path},
     )
 

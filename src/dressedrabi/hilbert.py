@@ -17,7 +17,6 @@ from scipy.linalg import expm
 
 __all__ = [
     "SpaceDims",
-    "basis_ket",
     "osc_annihilation",
     "osc_displacement",
     "annihilation",
@@ -44,13 +43,6 @@ class SpaceDims:
     @property
     def total_dim(self) -> int:
         return 2 * self.n_cut
-
-
-def basis_ket(qubit_index: int, n: int, dims: SpaceDims) -> np.ndarray:
-    """Joint product state |qubit_index> (x) |n>; qubit index 0 = |e>, 1 = |g>."""
-    ket = np.zeros(dims.total_dim, dtype=complex)
-    ket[qubit_index * dims.n_cut + n] = 1.0
-    return ket
 
 
 def osc_annihilation(n_cut: int) -> np.ndarray:
@@ -93,7 +85,7 @@ def sigma_x_eigenket(m: int) -> np.ndarray:
     return np.array([1.0, m], dtype=complex) / np.sqrt(2.0)
 
 
-def osc_displacement(alpha: complex, n_cut: int, check: bool = True) -> np.ndarray:
+def osc_displacement(alpha: complex, n_cut: int) -> np.ndarray:
     """Displacement operator exp(alpha a^dag - alpha* a) on the truncated Fock factor.
 
     Computed by the exact matrix exponential of the truncated generator.
@@ -103,44 +95,32 @@ def osc_displacement(alpha: complex, n_cut: int, check: bool = True) -> np.ndarr
     """
     a = osc_annihilation(n_cut)
     dop = expm(alpha * a.conj().T - np.conjugate(alpha) * a)
-    if check:
-        if 4.0 * abs(alpha) ** 2 >= n_cut:
-            warnings.warn(
-                f"displacement |alpha|={abs(alpha):.3g} is large for n_cut={n_cut}; "
-                "increase the truncation",
-                stacklevel=2,
-            )
-        half = n_cut // 2
-        defect = max_abs((dop.conj().T @ dop - np.eye(n_cut))[:half, :half])
-        if defect > 1e-8:
-            warnings.warn(
-                f"displacement unitarity defect {defect:.3g} on the protected Fock block",
-                stacklevel=2,
-            )
+    if 4.0 * abs(alpha) ** 2 >= n_cut:
+        warnings.warn(
+            f"displacement |alpha|={abs(alpha):.3g} is large for n_cut={n_cut}; "
+            "increase the truncation",
+            stacklevel=2,
+        )
+    half = n_cut // 2
+    defect = max_abs((dop.conj().T @ dop - np.eye(n_cut))[:half, :half])
+    if defect > 1e-8:
+        warnings.warn(
+            f"displacement unitarity defect {defect:.3g} on the protected Fock block",
+            stacklevel=2,
+        )
     return dop
 
 
-def displaced_fock(
-    n: int,
-    m: int,
-    beta: float,
-    dims: SpaceDims,
-    with_qubit: bool = False,
-) -> np.ndarray:
-    """Displaced Fock state D(-m beta)|n> of the oscillator.
+def displaced_fock(n: int, m: int, beta: float, dims: SpaceDims) -> np.ndarray:
+    """Displaced Fock state D(-m beta)|n> of the oscillator (the bare oscillator ket).
 
-    ``m`` = +1 or -1 selects the conditional displacement sign.  With
-    ``with_qubit=True`` the state is tensored with the sigma_x eigenstate
-    |m> into the joint space; otherwise the bare oscillator ket is returned.
+    ``m`` = +1 or -1 selects the conditional displacement sign.
     """
     if not 0 <= n < dims.n_cut:
         raise IndexError(f"Fock index {n} outside 0..{dims.n_cut - 1}")
     if m not in (+1, -1):
         raise ValueError("m must be +1 or -1")
-    ket = osc_displacement(-m * beta, dims.n_cut)[:, n].copy()
-    if with_qubit:
-        return np.kron(sigma_x_eigenket(m), ket)
-    return ket
+    return osc_displacement(-m * beta, dims.n_cut)[:, n].copy()
 
 
 def laguerre(n: int, x: float) -> float:

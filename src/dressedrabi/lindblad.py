@@ -210,22 +210,15 @@ class MasterEquation:
         return out
 
 
-def standard_master_equation(
-    p: RabiParams,
-    rates: RateFunctions,
-    dims: SpaceDims,
-    kappa_freq: float | None = None,
-    gamma_freq: float | None = None,
-) -> MasterEquation:
+def standard_master_equation(p: RabiParams, rates: RateFunctions, dims: SpaceDims) -> MasterEquation:
     """Quantum-optics master equation with bare jump operators a and sigma_-.
 
     The dissipators ignore the qubit-oscillator coupling; this generator is
     kept as the (incorrect at strong coupling) reference.  The oscillator
-    rate is evaluated at ``kappa_freq`` (default: omega) and the qubit rate
-    at ``gamma_freq`` (default: omega0).
+    rate is evaluated at omega and the qubit rate at omega0.
     """
-    kappa = rates.oscillator_rate(p.omega if kappa_freq is None else kappa_freq)
-    gamma = rates.qubit_rate(p.omega0 if gamma_freq is None else gamma_freq)
+    kappa = rates.oscillator_rate(p.omega)
+    gamma = rates.qubit_rate(p.omega0)
     return MasterEquation(
         hamiltonian=rabi_hamiltonian(p, dims),
         jumps=[

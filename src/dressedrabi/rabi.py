@@ -154,16 +154,17 @@ def _parity_resolve(energies, states, pi_op, gap_tol):
     return states, parity
 
 
-def diagonalize(h: np.ndarray, keep: int | None = None, herm_tol: float = 1e-12) -> Spectrum:
+def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
     """Dense Hermitian diagonalization, lowest ``keep`` eigenpairs ascending.
 
-    Near-degenerate clusters are rotated onto parity eigenstates when the
-    matrix commutes with the joint parity, which makes the output
-    deterministic for the decoupled qubit (omega0 = 0).
+    A Hermiticity defect above 1e-12 of the largest entry (or of 1) raises
+    ``ValueError``.  Near-degenerate clusters are rotated onto parity
+    eigenstates when the matrix commutes with the joint parity, which makes
+    the output deterministic for the decoupled qubit (omega0 = 0).
     """
     scale = max(max_abs(h), 1.0)
     defect = hermiticity_defect(h)
-    if defect > herm_tol * scale:
+    if defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3g}")
     energies, states = np.linalg.eigh(0.5 * (h + h.conj().T))
     if keep is not None:
@@ -183,24 +184,17 @@ def diagonalize(h: np.ndarray, keep: int | None = None, herm_tol: float = 1e-12)
     return Spectrum(energies=energies, states=states, residuals=residuals, parity=parity)
 
 
-def exact_spectrum(
-    p: RabiParams,
-    dims: SpaceDims,
-    keep: int,
-    convergence_step: int = 10,
-    convergence_tol: float = 1e-8,
-) -> Spectrum:
+def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:
     """Diagonalize the Rabi Hamiltonian with a truncation-convergence check.
 
     Each retained eigenvalue is flagged converged only if it moves by less
-    than ``convergence_tol * omega`` when n_cut is raised by
-    ``convergence_step``.
+    than 1e-8 omega when n_cut is raised by 10.
     """
     spec = diagonalize(rabi_hamiltonian(p, dims), keep=keep)
-    bigger = SpaceDims(dims.n_cut + convergence_step)
+    bigger = SpaceDims(dims.n_cut + 10)
     ref = np.linalg.eigvalsh(rabi_hamiltonian(p, bigger))[:keep]
     shifts = np.abs(spec.energies - ref)
-    spec.converged = shifts < convergence_tol * p.omega
+    spec.converged = shifts < 1e-8 * p.omega
     spec.metadata["truncation_shifts"] = shifts
     if not spec.converged.all():
         warnings.warn(

@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from .adiabatic import build_basis
 from .hilbert import SpaceDims, annihilation, max_abs, qubit_op
-from .rabi import RabiParams, exact_spectrum, max_overlap_pairing, rabi_hamiltonian
+from .rabi import RabiParams, exact_spectrum, max_overlap_pairing
 
 __all__ = [
     "SwEnergies",
@@ -33,7 +33,6 @@ __all__ = [
     "sw_energies",
     "sw_generator",
     "sw_dropped_constant",
-    "sw_conjugation_residual",
     "sw_eigensystem",
     "fidelity_comparison",
 ]
@@ -122,7 +121,7 @@ def sw_generator(p: RabiParams, dims: SpaceDims) -> np.ndarray:
     Validated by conjugation rather than provenance: e^{S} H e^{-S} equals
     the closed-form dispersive Hamiltonian up to the dropped constant
     beta^2 omega^3/(omega^2 - omega0^2) with an O(beta^3 omega) residual on
-    the low-lying levels (see :func:`sw_conjugation_residual`).
+    the low-lying levels, which tests/test_schrieffer_wolff.py measures.
     """
     _check_regime(p)
     if p.omega0 == -p.omega:
@@ -146,23 +145,6 @@ def sw_dropped_constant(p: RabiParams) -> float:
     """
     _check_regime(p)
     return p.beta**2 * p.omega**3 / (p.omega**2 - p.omega0**2)
-
-
-def sw_conjugation_residual(p: RabiParams, dims: SpaceDims, n_levels: int = 10) -> float:
-    """Largest element of e^{S} H e^{-S} - H_SW on the lowest levels of H_SW.
-
-    The dropped constant is restored before comparing, so the result measures
-    the genuine third-order defect of the rotation.
-    """
-    h = rabi_hamiltonian(p, dims)
-    s = sw_generator(p, dims)
-    h_sw = sw_hamiltonian(p, dims)
-    rot = expm(s)
-    conj = rot @ h @ rot.conj().T
-    _, vecs = np.linalg.eigh(h_sw)
-    block = vecs[:, :n_levels]
-    delta = conj - h_sw + sw_dropped_constant(p) * np.eye(h.shape[0])
-    return float(max_abs(block.conj().T @ delta @ block))
 
 
 def sw_eigensystem(p: RabiParams, dims: SpaceDims, keep: int) -> tuple[np.ndarray, np.ndarray]:

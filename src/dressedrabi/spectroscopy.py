@@ -11,7 +11,6 @@ ladder.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -65,7 +64,7 @@ def default_scan_grid(p: RabiParams, n_points: int = 241, span: tuple[float, flo
 
 @dataclass
 class SpectroscopyConfig:
-    """Everything one scan needs; ``pump_freq=None`` locks the pump to omega_-.
+    """Everything one scan needs; the pump is locked to the lower ladder, omega_-.
 
     ``solver`` is ``"corotating"`` or ``"timeaveraged"``; ``run_scan`` describes both.
     """
@@ -77,7 +76,6 @@ class SpectroscopyConfig:
     omega_s_grid: np.ndarray
     n_levels: int = 12
     dims: SpaceDims = field(default_factory=lambda: SpaceDims(40))
-    pump_freq: float | None = None
     solver: str = "corotating"
 
     def __post_init__(self):
@@ -124,14 +122,7 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     numeric failures are recorded and the scan continues.
     """
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
-    pump_freq = basis.omega_minus if cfg.pump_freq is None else cfg.pump_freq
-    gamma_at_pump = cfg.rates.oscillator_rate(pump_freq)
-    if abs(pump_freq - basis.omega_minus) > max(gamma_at_pump, 1e-12):
-        warnings.warn(
-            f"pump detuned from the lower ladder by {pump_freq - basis.omega_minus:.3g}, "
-            "more than one linewidth",
-            stacklevel=2,
-        )
+    pump_freq = basis.omega_minus
 
     baseline_me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq)
     baseline_ss = steady_state_nullspace(baseline_me)

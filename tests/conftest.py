@@ -11,6 +11,13 @@ def dims40():
     return SpaceDims(40)
 
 
+def basis_ket(qubit_index: int, n: int, dims: SpaceDims) -> np.ndarray:
+    """Joint product state |qubit_index> (x) |n>; qubit index 0 = |e>, 1 = |g>."""
+    ket = np.zeros(dims.total_dim, dtype=complex)
+    ket[qubit_index * dims.n_cut + n] = 1.0
+    return ket
+
+
 def fig3_params() -> RabiParams:
     return RabiParams(omega=1.0, omega0=0.3, beta=0.1)
 

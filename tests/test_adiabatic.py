@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from dressedrabi.adiabatic import (
-    build_basis,
-    build_ladders,
-    displaced_overlap,
-    dressed_hamiltonian,
-    dressed_lowering,
-    dressed_matrix_elements,
-    n_levels_cap,
-    validity_report,
-)
-from dressedrabi.hilbert import annihilation, basis_ket, displaced_fock, max_abs
+from dressedrabi.adiabatic import build_basis, displaced_overlap, n_levels_cap, validity_report
+from dressedrabi.hilbert import annihilation, displaced_fock, max_abs, qubit_op
 from dressedrabi.rabi import RabiParams, exact_spectrum, max_overlap_pairing
 
-from conftest import fig3_rates
+from conftest import basis_ket, fig3_rates
+
+
+def _cross_sum(b):
+    """sum_N |Psi_N^-><Psi_N^+| in reduced coordinates."""
+    return sum(b.reduced_cross(n) for n in range(b.n_levels))
+
+
+def _dressed_lowering(b):
+    """a_- + a_+ - 2 beta sum_N |Psi_N^-><Psi_N^+| in the full space."""
+    return b.expand(b.reduced_ladder("-") + b.reduced_ladder("+") - 2.0 * b.params.beta * _cross_sum(b))
 
 
 def test_displaced_overlap_values(dims40):
@@ -101,7 +102,8 @@ def test_energy_mode_consistency(dims40, beta):
 def test_ladders_algebra(dims40):
     p = RabiParams(1.0, 0.3, 0.1)
     b = build_basis(p, 5, dims40)
-    a_plus, a_minus, proj_plus, proj_minus = build_ladders(b)
+    a_plus, a_minus = (b.expand(b.reduced_ladder(sector)) for sector in "+-")
+    proj_plus, proj_minus = (b.expand(b.reduced_projector(sector)) for sector in "+-")
     assert max_abs(a_plus @ b.state(1, "+") - b.state(0, "+")) < 1e-12
     for n in range(5):
         assert np.linalg.norm(a_plus @ b.state(n, "-")) < 1e-12
@@ -122,17 +124,15 @@ def test_ladders_algebra(dims40):
 def test_dressed_hamiltonian(dims40):
     p = RabiParams(1.0, 0.15, 0.1)
     b = build_basis(p, 6, dims40, energy_mode="truncated")
-    h_ad = dressed_hamiltonian(b)
+    h_ad = b.expand(b.reduced_hamiltonian())
     for n in range(6):
         for sector, energy in (("-", b.energies_minus[n]), ("+", b.energies_plus[n])):
             ket = b.state(n, sector)
             assert np.linalg.norm(h_ad @ ket - energy * ket) < 1e-12
     # beta = 0 limit: omega a^dag a + omega0 sigma_z / 2 on the retained span
     b0 = build_basis(RabiParams(1.0, 0.15, 0.0), 6, dims40, energy_mode="truncated")
-    h0 = dressed_hamiltonian(b0)
+    h0 = b0.expand(b0.reduced_hamiltonian())
     a = annihilation(dims40)
-    from dressedrabi.hilbert import qubit_op
-
     h_expected = 1.0 * a.conj().T @ a + 0.075 * qubit_op("sigma_z", dims40)
     v = b0.isometry
     assert max_abs(v.conj().T @ (h0 - h_expected) @ v) < 1e-12
@@ -144,47 +144,50 @@ def test_dressed_hamiltonian(dims40):
 
 
 def test_dressed_matrix_elements(dims40):
+    # position a + a^dag: bare ladder elements sqrt(M) delta_{N,M-1} + sqrt(M+1) delta_{N,M+1}
+    # within each ladder and -2 beta delta_{N,M} across; sigma_x: delta_{N,M} across only
     p = RabiParams(1.0, 0.3, 0.1)
     b = build_basis(p, 5, dims40)
-    table = dressed_matrix_elements(b, "position")
+    ladders = b.reduced_ladder("-") + b.reduced_ladder("+")
+    cross = _cross_sum(b)
+    x_reduced = ladders + ladders.conj().T - 2 * p.beta * (cross + cross.conj().T)
     a = annihilation(dims40)
     x = a + a.conj().T
     # closed forms against brute-force sandwiches
     for n in range(4):
         num = b.state(n, "+").conj() @ x @ b.state(n + 1, "+")
         assert abs(num - math.sqrt(n + 1)) < 1e-3
-        assert abs(table.intra[n, n + 1] - math.sqrt(n + 1)) < 1e-12
+        for sector in "+-":
+            i, j = b.reduced_index(n, sector), b.reduced_index(n + 1, sector)
+            assert abs(x_reduced[i, j] - math.sqrt(n + 1)) < 1e-12
     for n in range(5):
         num = b.state(n, "-").conj() @ x @ b.state(n, "+")
         assert abs(num - (-2 * p.beta)) < 1e-3
-        assert abs(table.cross[n, n] - (-2 * p.beta)) < 1e-12
-    # assembled operator agrees with the numeric sandwich on every pair
+        assert abs(x_reduced[b.reduced_index(n, "-"), b.reduced_index(n, "+")] - (-2 * p.beta)) < 1e-12
+    # the expanded operator agrees with the numeric sandwich on every pair
     v = b.isometry
     numeric = v.conj().T @ x @ v
-    assembled = v.conj().T @ table.operator @ v
+    assembled = v.conj().T @ b.expand(x_reduced) @ v
     assert max_abs(numeric - assembled) < 1e-9
 
-    sig = dressed_matrix_elements(b, "sigma_x")
-    from dressedrabi.hilbert import qubit_op
-
+    sx_reduced = cross + cross.conj().T
     sx = qubit_op("sigma_x", dims40)
     for n in range(5):
         for m in range(5):
             intra = b.state(n, "+").conj() @ sx @ b.state(m, "+")
             assert abs(intra) < 1e-12
-            cross = b.state(n, "-").conj() @ sx @ b.state(m, "+")
-            assert abs(cross - (1.0 if n == m else 0.0)) < 1e-12
-    assert max_abs(sig.cross - np.eye(5)) < 1e-12
-    with pytest.raises(ValueError):
-        dressed_matrix_elements(b, "momentum")
+            cross_nm = b.state(n, "-").conj() @ sx @ b.state(m, "+")
+            assert abs(cross_nm - (1.0 if n == m else 0.0)) < 1e-12
+    assert max_abs(sx_reduced[:5, 5:] - np.eye(5)) < 1e-12
+    assert max_abs(v.conj().T @ sx @ v - sx_reduced) < 1e-12
 
 
 def test_dressed_lowering(dims40):
     p = RabiParams(1.0, 0.3, 0.1)
     b = build_basis(p, 5, dims40)
-    s = dressed_lowering(b)
+    s = _dressed_lowering(b)
     assert np.linalg.norm(s @ b.state(0, "-")) < 1e-12
-    # second construction route: energy-ordered elements of the position table
+    # second construction route: energy-ordered elements of the position operator
     states = [(b.energies_minus[n], b.state(n, "-")) for n in range(5)]
     states += [(b.energies_plus[n], b.state(n, "+")) for n in range(5)]
     states.sort(key=lambda t: t[0])
@@ -199,7 +202,7 @@ def test_dressed_lowering(dims40):
     assert max_abs(v.conj().T @ (s - alt) @ v) < 1e-9
     # beta = 0: reduces to the bare lowering operator on the retained span
     b0 = build_basis(RabiParams(1.0, 0.3, 0.0), 5, dims40)
-    s0 = dressed_lowering(b0)
+    s0 = _dressed_lowering(b0)
     v0 = b0.isometry
     assert max_abs(v0.conj().T @ (s0 - a) @ v0) < 1e-12
 

@@ -1,9 +1,13 @@
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import dressedrabi
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ["hilbert", "rabi", "adiabatic", "schrieffer_wolff", "lindblad", "dynamics", "spectroscopy", "cli"]
 
@@ -19,3 +23,33 @@ def test_every_exported_name_resolves(module):
 def test_package_lists_every_module():
     found = {info.name for info in pkgutil.iter_modules(dressedrabi.__path__)}
     assert found == set(MODULES)
+
+
+def _caller_lines() -> list[str]:
+    """Lines that may call a public name: the package without its __all__ lists and
+    without __init__ (which only re-exports), the demos, the bench and the acceptance suite."""
+    package = sorted((ROOT / "src" / "dressedrabi").glob("*.py"))
+    files = [path for path in package if path.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    files.append(ROOT / "tests" / "test_acceptance.py")
+    lines = []
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        if path in package:
+            text = re.sub(r"^__all__ = \[.*?\]", "", text, flags=re.S | re.M)
+        lines += text.splitlines()
+    return lines
+
+
+def test_every_exported_name_has_a_caller():
+    # a public name used only by its own unit test is dead weight
+    lines = _caller_lines()
+    uncalled = []
+    for module in ["", *MODULES]:
+        mod = importlib.import_module(f"dressedrabi.{module}" if module else "dressedrabi")
+        for name in mod.__all__:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            own = re.compile(rf"\s*(def|class)\s+{re.escape(name)}\b")
+            if not any(word.search(line) and not own.match(line) for line in lines):
+                uncalled.append(name)
+    assert not uncalled, f"public names with no caller: {sorted(set(uncalled))}"

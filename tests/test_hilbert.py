@@ -7,7 +7,6 @@ from scipy.special import eval_laguerre
 from dressedrabi.hilbert import (
     SpaceDims,
     annihilation,
-    basis_ket,
     displaced_fock,
     laguerre,
     max_abs,
@@ -17,7 +16,7 @@ from dressedrabi.hilbert import (
     trace_distance,
 )
 
-from conftest import random_density
+from conftest import basis_ket, random_density
 
 
 def test_space_dims():
@@ -114,9 +113,6 @@ def test_displaced_fock(dims40):
         assert abs(np.vdot(minus, plus) - expected) < 1e-9
     assert abs(np.vdot(displaced_fock(0, -1, beta, dims40), displaced_fock(0, +1, beta, dims40))
                - 0.9801986733067553) < 1e-9
-    joint = displaced_fock(2, -1, beta, dims40, with_qubit=True)
-    assert joint.shape == (dims40.total_dim,)
-    assert abs(np.linalg.norm(joint) - 1.0) < 1e-12
     with pytest.raises(IndexError):
         displaced_fock(40, 1, beta, dims40)
     with pytest.raises(ValueError):

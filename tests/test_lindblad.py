@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dressedrabi.adiabatic import build_basis, displaced_overlap
-from dressedrabi.hilbert import basis_ket, max_abs
+from dressedrabi.hilbert import max_abs
 from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
@@ -19,7 +19,7 @@ from dressedrabi.lindblad import (
 )
 from dressedrabi.rabi import RabiParams, ground_state
 
-from conftest import fig3_params, fig3_rates, random_density
+from conftest import basis_ket, fig3_params, fig3_rates, random_density
 from dense_reference import dissipator_apply
 
 

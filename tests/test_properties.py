@@ -7,9 +7,11 @@ module stays within a few seconds.  The sparse Liouvillian is compared with
 the dense kron reference of ``dense_reference``.
 """
 
+import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +146,26 @@ def test_gibbs_state_is_stationary(dressed, big, small, temperature):
     b = _basis(*dressed)
     me = finite_temperature_dme(b, RateFunctions.flat(big, small, temperature=temperature))
     assert max_abs(me.rhs(gibbs_state(b, temperature))) <= 1e-12 * generator_scale(me)
+    # detailed balance of every jump pair: rate_up / rate_down = exp(-nu / T)
+    by_label = {term.label: term for term in me.jumps}
+    downs = [label for label in by_label if label.endswith("_down")]
+    assert 2 * len(downs) == len(me.jumps)
+    for label in downs:
+        down, up = by_label[label], by_label[label[: -len("_down")] + "_up"]
+        expected = math.exp(-down.frequency / temperature)
+        assert up.rate / down.rate == pytest.approx(expected, rel=5e-14, abs=0.0)
+
+
+@PROFILE
+@given(st.floats(0.05, 0.3), st.integers(2, 4), st.floats(0.01, 0.4), st.floats(0.01, 0.1),
+       st.integers(0, 2**32 - 1))
+def test_dme_is_the_bare_operator_me_at_zero_coupling(omega0, n_levels, big, small, seed):
+    # at beta = 0 the dressed states are |g,N> and |e,N>.  On states diagonal in
+    # them the two generators agree; on coherences they differ by the secular
+    # cross terms the DME drops
+    b = _basis(omega0, 0.0, n_levels)
+    rates = RateFunctions.flat(big, small)
+    dme = zero_temperature_dme(b, rates)
+    sme = standard_master_equation(b.params, rates, b.dims)
+    rho = np.diag(np.random.default_rng(seed).dirichlet(np.ones(b.reduced_dim))).astype(complex)
+    assert max_abs(b.reduce(sme.rhs(b.expand(rho))) - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)

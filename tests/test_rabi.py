@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dressedrabi.hilbert import basis_ket, max_abs
+from dressedrabi.hilbert import max_abs
 from dressedrabi.rabi import (
     RabiParams,
     diagonalize,
@@ -13,6 +13,8 @@ from dressedrabi.rabi import (
     parity_operator,
     rabi_hamiltonian,
 )
+
+from conftest import basis_ket
 
 
 def test_params_validation():

@@ -1,17 +1,32 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dressedrabi.hilbert import max_abs
 from dressedrabi.rabi import RabiParams, rabi_hamiltonian
 from dressedrabi.schrieffer_wolff import (
     fidelity_comparison,
-    sw_conjugation_residual,
     sw_dropped_constant,
     sw_energies,
     sw_frequencies,
     sw_generator,
     sw_hamiltonian,
 )
+
+
+def sw_conjugation_residual(p, dims, n_levels):
+    """Largest element of e^{S} H e^{-S} - H_SW on the lowest levels of H_SW.
+
+    The dropped constant is restored before comparing, so the result measures
+    the genuine third-order defect of the rotation.
+    """
+    h = rabi_hamiltonian(p, dims)
+    rot = expm(sw_generator(p, dims))
+    h_sw = sw_hamiltonian(p, dims)
+    _, vecs = np.linalg.eigh(h_sw)
+    block = vecs[:, :n_levels]
+    delta = rot @ h @ rot.conj().T - h_sw + sw_dropped_constant(p) * np.eye(h.shape[0])
+    return float(max_abs(block.conj().T @ delta @ block))
 
 
 def test_decoupled_limit(dims40):
