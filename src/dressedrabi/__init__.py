@@ -28,7 +28,6 @@ from .schrieffer_wolff import (
 from .lindblad import (
     MasterEquation,
     RateFunctions,
-    add_spectroscopy_drive,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -79,7 +78,6 @@ __all__ = [
     "finite_temperature_dme",
     "gibbs_state",
     "driven_rotating_dme",
-    "add_spectroscopy_drive",
     "NumericsError",
     "Trajectory",
     "SteadyState",

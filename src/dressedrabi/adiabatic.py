@@ -18,6 +18,7 @@ retained subspace.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -84,10 +85,12 @@ class DressedBasis:
     def reduced_dim(self) -> int:
         return 2 * self.n_levels
 
-    @property
+    @functools.cached_property
     def isometry(self) -> np.ndarray:
-        """total_dim x 2*n_levels matrix of basis columns, minus block first."""
-        return np.hstack([self.states_minus, self.states_plus])
+        """total_dim x 2*n_levels matrix of basis columns, minus block first; built once."""
+        v = np.hstack([self.states_minus, self.states_plus])
+        v.flags.writeable = False  # every caller shares this array
+        return v
 
     def state(self, n: int, sector: str) -> np.ndarray:
         block = self.states_minus if sector == "-" else self.states_plus
@@ -105,15 +108,6 @@ class DressedBasis:
         for n in range(L - 1):
             ladder[off + n, off + n + 1] = math.sqrt(n + 1)
         return ladder
-
-    def reduced_projector(self, sector: str) -> np.ndarray:
-        L = self.n_levels
-        diag = np.zeros(self.reduced_dim)
-        if sector == "+":
-            diag[L:] = 1.0
-        else:
-            diag[:L] = 1.0
-        return np.diag(diag).astype(complex)
 
     def reduced_cross(self, n: int) -> np.ndarray:
         """|Psi_n^-><Psi_n^+| in reduced coordinates."""

@@ -142,6 +142,9 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
         raise ConfigError("n_cut must be >= 2")
     if cfg["n_levels"] < 1:
         raise ConfigError("n_levels must be >= 1")
+    # kept as a key so that configs and their digests stay valid; spectrum reports exact-overlap energies
+    if cfg["spectrum"]["energy_mode"] != "exact_overlap":
+        raise ConfigError("spectrum.energy_mode must be 'exact_overlap', the only energies spectrum reports")
     return cfg
 
 

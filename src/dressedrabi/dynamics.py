@@ -76,7 +76,7 @@ def _prepare_state(me: MasterEquation, rho0: np.ndarray) -> tuple[np.ndarray, fl
     """Bring an initial state into the generator's representation."""
     if rho0.shape == (me.dim, me.dim):
         return rho0.astype(complex, copy=True), 0.0
-    if me.rep == "dressed" and me.basis is not None:
+    if me.basis is not None:
         full_dim = me.basis.dims.total_dim
         if rho0.shape == (full_dim, full_dim):
             rho_d, leakage = me.basis.project_density(rho0)
@@ -118,11 +118,11 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     }
 
 
-def _rk4_step(me: MasterEquation, rho: np.ndarray, t: float, dt: float) -> np.ndarray:
-    k1 = me.rhs(rho, t)
-    k2 = me.rhs(rho + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = me.rhs(rho + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = me.rhs(rho + dt * k3, t + dt)
+def _rk4_step(me: MasterEquation, rho: np.ndarray, dt: float) -> np.ndarray:
+    k1 = me.rhs(rho)
+    k2 = me.rhs(rho + 0.5 * dt * k1)
+    k3 = me.rhs(rho + 0.5 * dt * k2)
+    k4 = me.rhs(rho + dt * k3)
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -130,14 +130,14 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def _step_grid(t0: float, t_end: float, dt: float, stride: int):
-    """Steps of ``evolve``'s grid: (t, step, sample) for each step of dt from t0 to t_end.
+def _step_grid(t_end: float, dt: float, stride: int):
+    """Steps of ``evolve``'s grid: (t, step, sample) for each step of dt from 0 to t_end.
 
     The last step is shortened to end at t_end; ``sample`` marks every
     ``stride``-th step and the last one.
     """
-    horizon_eps = 1e-12 * max(abs(t_end - t0), 1.0)
-    t, taken = t0, 0
+    horizon_eps = 1e-12 * max(abs(t_end), 1.0)
+    t, taken = 0.0, 0
     while t < t_end - horizon_eps:
         step = min(dt, t_end - t)
         taken += 1
@@ -172,22 +172,19 @@ def evolve(
     t_end: float,
     dt: float,
     *,
-    t0: float = 0.0,
     stride: int = 1,
     exact: bool = False,
     store_states: bool = True,
     trace_tol: float = 1e-8,
 ) -> Trajectory:
-    """Integrate d(rho)/dt = L[rho] from t0 to t_end, sampling every ``stride`` steps of ``dt``.
+    """Integrate d(rho)/dt = L[rho] from 0 to t_end, sampling every ``stride`` steps of ``dt``.
 
-    Samples are taken at t0 + k dt stride and at t_end.  By default classical
-    RK4 steps dt, with drive tones evaluated exactly at the stage times.  With
-    ``exact`` a time-independent generator is instead propagated exactly from
+    Samples are taken at k dt stride and at t_end.  By default classical RK4
+    steps dt.  With ``exact`` the generator is instead propagated exactly from
     sample to sample by ``expm_multiply`` (A. H. Al-Mohy and N. J. Higham,
     SIAM J. Sci. Comput. 33, 488 (2011)), restricted to the block of unknowns
     reachable from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only
-    set the sample spacing, and a generator with drive tones raises
-    ``ValueError``.  The sub-floor entries of rho0 outside the block are
+    set the sample spacing.  The sub-floor entries of rho0 outside the block are
     dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
     The trace is never renormalized; trace drift beyond ``trace_tol`` or a
     sample with an eigenvalue below -1e-7 aborts with a diagnostic.
@@ -198,13 +195,11 @@ def evolve(
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if exact and me.time_dependent:
-        raise ValueError("exact propagation needs a time-independent generator; drive tones take RK4")
     rho, leakage = _prepare_state(me, rho0)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))
 
-    times = [t0]
+    times = [0.0]
     states = [rho.copy()] if store_states else None
     obs_records = [_observe(me, rho)]
     max_drift = 0.0
@@ -238,8 +233,8 @@ def evolve(
         gen_trace = gen.diagonal().sum()
         x = vec[block]
         full = np.zeros(d * d, dtype=complex)
-        sample_times = [t + step for t, step, is_sample in _step_grid(t0, t_end, dt, stride) if is_sample]
-        for t, t_next in zip([t0] + sample_times, sample_times):
+        sample_times = [t + step for t, step, is_sample in _step_grid(t_end, dt, stride) if is_sample]
+        for t, t_next in zip([0.0] + sample_times, sample_times):
             h = t_next - t
             x = expm_multiply(h * gen, x, traceA=h * gen_trace)
             full[block] = x
@@ -247,8 +242,8 @@ def evolve(
         steps, method, block_dim = len(sample_times), "expm", int(block.size)
     else:
         steps, dropped = 0, 0.0
-        for t, step, is_sample in _step_grid(t0, t_end, dt, stride):
-            rho = _rk4_step(me, rho, t, step)
+        for t, step, is_sample in _step_grid(t_end, dt, stride):
+            rho = _rk4_step(me, rho, step)
             steps += 1
             if is_sample:
                 sample(t + step, rho)
@@ -347,15 +342,13 @@ def _solve_liouvillian(system, d: int, scale: float):
 
 
 def steady_state_nullspace(me: MasterEquation) -> SteadyState:
-    """Steady state of a time-independent generator from the vectorized nullspace.
+    """Steady state of a generator from the vectorized nullspace.
 
     Solves L vec(rho) = 0 with the unit-trace condition folded in as a linear
     constraint (``_solve_liouvillian``), Hermitizes, and clips any negative
     eigenvalues at readout (reported, never silently).  ``metadata["solve"]``
     names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
     """
-    if me.time_dependent:
-        raise ValueError("nullspace solver requires a time-independent generator")
     rho, residual, clipped, path = _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
     return SteadyState(
         rho=rho,
@@ -377,8 +370,6 @@ def steady_state_longtime(
     the residual is below ``residual_tol`` times the generator scale, or fails
     with ``NumericsError`` after 200 over that rate.
     """
-    if me.time_dependent:
-        raise ValueError("long-time solver requires a time-independent generator")
     scale = generator_scale(me)
     rho, _ = _prepare_state(me, rho0)
     slowest = _slowest_relaxation_rate(me)
@@ -420,10 +411,10 @@ def _harmonic_system(static, a, omega: float, order: int) -> sparse.csc_matrix:
     return sparse.bmat([[row.get(j) for j in ks] for row in rows], format="csc")
 
 
-def steady_state_timeaveraged(me: MasterEquation) -> SteadyState:
-    """Period-averaged asymptotic state of a generator with one drive tone.
+def steady_state_timeaveraged(me: MasterEquation, tone: np.ndarray, frequency: float) -> SteadyState:
+    """Period-averaged asymptotic state of ``me`` plus H(t) = tone e^{-i w t} + h.c.
 
-    For the tone A e^{-i w t} + h.c. the asymptotic state is periodic,
+    With the tone the asymptotic state is periodic,
     rho(t) = sum_k rho_k e^{-i k w t}, and its period average is rho_0
     (Floquet theory of driven open systems: M. Grifoni and P. Hanggi,
     Phys. Rep. 304, 229 (1998)).  The harmonics |k| <= K solve one sparse
@@ -431,29 +422,20 @@ def steady_state_timeaveraged(me: MasterEquation) -> SteadyState:
     ``_solve_liouvillian``; K starts at 2 and rises by one until rho_0 moves
     by at most 1e-8, or fails with ``NumericsError`` past K = 8.  ``metadata``
     records ``harmonics`` (K), ``k_change``, ``clipped_weight`` and ``solve``.
-    Without a tone this is the nullspace solve (K = 0); two or more tones
-    raise ``ValueError``.
     """
-    if len(me.drive) > 1:
-        raise ValueError(f"the harmonic solver takes one drive tone, got {len(me.drive)}")
     d, scale, static = me.dim, generator_scale(me), me.liouvillian()
-    order, change = 0, 0.0
-    if not me.drive:
-        rho, residual, clipped, path = _solve_liouvillian(static, d, scale)
+    a = sparse.csc_matrix(tone)
+    rho = None
+    for order in range(2, _MAX_HARMONICS + 1):
+        prev = rho
+        rho, residual, clipped, path = _solve_liouvillian(
+            _harmonic_system(static, a, frequency, order), d, scale
+        )
+        change = math.inf if prev is None else max_abs(rho - prev)
+        if change <= _HARMONIC_TOL:
+            break
     else:
-        tone = me.drive[0]
-        a = sparse.csc_matrix(tone.amplitude * tone.op)
-        rho = None
-        for order in range(2, _MAX_HARMONICS + 1):
-            prev = rho
-            rho, residual, clipped, path = _solve_liouvillian(
-                _harmonic_system(static, a, tone.frequency, order), d, scale
-            )
-            change = math.inf if prev is None else max_abs(rho - prev)
-            if change <= _HARMONIC_TOL:
-                break
-        else:
-            raise NumericsError(f"harmonics not converged at K={order}: rho_0 still moves by {change:.3g}")
+        raise NumericsError(f"harmonics not converged at K={order}: rho_0 still moves by {change:.3g}")
     return SteadyState(
         rho=rho,
         residual=residual,

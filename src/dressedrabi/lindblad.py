@@ -1,18 +1,20 @@
 """Lindblad generators: standard, dressed, thermal, dephasing, and driven forms.
 
-A :class:`MasterEquation` bundles a Hamiltonian, a list of weighted jump
-operators (pure dephasing is one of them, the Hermitian jump S_z), and
-optional classical drive tones.  Generators built from a :class:`DressedBasis` are
-stored in the exact reduced dressed coordinates (rep = "dressed"), where the
-retained subspace is the whole representation; the bare-operator generator
-lives on the full truncated space (rep = "full").
+A :class:`MasterEquation` is time independent: a Hamiltonian and a list of
+weighted jump operators (pure dephasing is one of them, the Hermitian jump
+S_z).  Drives enter in a rotating frame; the one time-dependent tone, the
+spectroscopy probe of the time-averaged solver, is passed to that solver
+directly.  Generators built from a :class:`DressedBasis` carry it and are
+stored in its exact reduced dressed coordinates, where the retained subspace
+is the whole representation; the bare-operator generator lives on the full
+truncated space.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -24,14 +26,12 @@ from .rabi import RabiParams, rabi_hamiltonian
 __all__ = [
     "RateFunctions",
     "JumpTerm",
-    "DriveTone",
     "MasterEquation",
     "standard_master_equation",
     "zero_temperature_dme",
     "finite_temperature_dme",
     "gibbs_state",
     "driven_rotating_dme",
-    "add_spectroscopy_drive",
 ]
 
 
@@ -104,23 +104,12 @@ class JumpTerm:
     label: str = ""
 
 
-@dataclass(frozen=True)
-class DriveTone:
-    """Explicit drive term amp * op * exp(-i freq t) + h.c."""
-
-    op: np.ndarray
-    amplitude: complex
-    frequency: float
-
-
 @dataclass
 class MasterEquation:
-    """Assembled evolution generator; immutable by convention after construction."""
+    """Assembled time-independent evolution generator; immutable by convention after construction."""
 
     hamiltonian: np.ndarray
     jumps: list[JumpTerm] = field(default_factory=list)
-    drive: list[DriveTone] = field(default_factory=list)
-    rep: str = "full"
     basis: DressedBasis | None = None
     metadata: dict = field(default_factory=dict)
 
@@ -144,20 +133,8 @@ class MasterEquation:
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
 
-    @property
-    def time_dependent(self) -> bool:
-        return bool(self.drive)
-
-    def drive_hamiltonian(self, t: float) -> np.ndarray:
-        """Sum of the drive tones at time ``t``; the full Hamiltonian adds ``hamiltonian``."""
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        for tone in self.drive:
-            phase = tone.amplitude * np.exp(-1j * tone.frequency * t)
-            h += phase * tone.op + np.conjugate(phase) * tone.op.conj().T
-        return h
-
     def liouvillian(self) -> sparse.csc_matrix:
-        """Static part of the generator (H and jumps) as one sparse d^2 x d^2 matrix.
+        """The generator (H and jumps) as one sparse d^2 x d^2 matrix.
 
         Column-stacking convention: vec(rho) stacks columns (Fortran order), so
         vec(A rho B) = (B^T kron A) vec(rho).  With the effective generator
@@ -169,7 +146,7 @@ class MasterEquation:
         O_k^dag O_k from the same products of nonzeros as the O_k rho O_k^dag
         block, not from dense matrix products: a small product per jump calls
         the threaded BLAS, whose cost then swings with the load on the other
-        cores.  Built on first use and cached; drive tones are not included.
+        cores.  Built on first use and cached.
         """
         if self._liouvillian is None:
             d = self.dim
@@ -200,14 +177,10 @@ class MasterEquation:
             self._liouvillian = coo.tocsc()
         return self._liouvillian
 
-    def rhs(self, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Generator applied to a state: d(rho)/dt at time ``t``."""
+    def rhs(self, rho: np.ndarray) -> np.ndarray:
+        """Generator applied to a state: d(rho)/dt."""
         d = self.dim
-        out = (self.liouvillian() @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
-        if self.drive:
-            hd = self.drive_hamiltonian(t)
-            out -= 1j * (hd @ rho - rho @ hd)
-        return out
+        return (self.liouvillian() @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
 
 
 def standard_master_equation(p: RabiParams, rates: RateFunctions, dims: SpaceDims) -> MasterEquation:
@@ -225,7 +198,6 @@ def standard_master_equation(p: RabiParams, rates: RateFunctions, dims: SpaceDim
             JumpTerm(kappa, annihilation(dims), frequency=p.omega, label="oscillator"),
             JumpTerm(gamma, qubit_op("sigma_minus", dims), frequency=p.omega0, label="qubit"),
         ],
-        rep="full",
         metadata={"kind": "sme"},
     )
 
@@ -258,7 +230,6 @@ def zero_temperature_dme(b: DressedBasis, rates: RateFunctions) -> MasterEquatio
     return MasterEquation(
         hamiltonian=b.reduced_hamiltonian(),
         jumps=_dme_jumps(b, rates),
-        rep="dressed",
         basis=b,
         metadata={"kind": "dme_zero_t"},
     )
@@ -284,7 +255,6 @@ def finite_temperature_dme(b: DressedBasis, rates: RateFunctions) -> MasterEquat
     return MasterEquation(
         hamiltonian=b.reduced_hamiltonian(),
         jumps=jumps,
-        rep="dressed",
         basis=b,
         metadata={"kind": "dme_finite_t", "temperature": rates.temperature},
     )
@@ -377,41 +347,19 @@ def driven_rotating_dme(
     return MasterEquation(
         hamiltonian=_pump_frame_hamiltonian(b, pump_amp, pump_freq, spec_amp, spec_freq),
         jumps=jumps,
-        rep="dressed",
         basis=b,
         metadata=metadata,
     )
 
 
 def _cross_drive_op(b: DressedBasis, spec_amp: float) -> np.ndarray:
+    """The spectroscopy probe's pump-frame operator -2 beta Omega_s (sum_N |Psi_N^-><Psi_N^+| + h.c.).
+
+    Only this cross-ladder component of the probe survives in the pump frame:
+    it connects equal-N states, so the frame rotation leaves it invariant.  The
+    intra-ladder components, detuned by |omega_s - omega_p| of order the
+    oscillator-qubit gap, are dropped.
+    """
     cross = sum(b.reduced_cross(n) for n in range(b.n_levels))
     return -2.0 * b.params.beta * spec_amp * (cross + cross.conj().T)
-
-
-def add_spectroscopy_drive(
-    me: MasterEquation,
-    b: DressedBasis,
-    spec_amp: float,
-    spec_freq: float,
-) -> MasterEquation:
-    """Add the weak second tone that probes the |Psi_N^-> <-> |Psi_N^+> transitions.
-
-    Only the cross-ladder component -2 beta Omega_s (sum_N |Psi_N^-><Psi_N^+|
-    + h.c.) survives in the pump frame (it connects equal-N states, so the
-    frame rotation leaves it invariant); its tones exp(+-i omega_s t) are kept
-    explicitly.  The intra-ladder components, detuned by |omega_s - omega_p|
-    of order the oscillator-qubit gap, are dropped.
-    """
-    if me.metadata.get("frame") != "pump":
-        raise ValueError("spectroscopy drive expects a pump-frame generator")
-    if spec_amp == 0.0:
-        return me
-    op = _cross_drive_op(b, spec_amp)
-    # op * (e^{+i w t} + e^{-i w t}): one tone plus its Hermitian mirror
-    tones = list(me.drive) + [DriveTone(op=op, amplitude=1.0 + 0.0j, frequency=spec_freq)]
-    return replace(
-        me,
-        drive=tones,
-        metadata={**me.metadata, "spec_amp": spec_amp, "spec_freq": spec_freq},
-    )
 

@@ -200,7 +200,7 @@ def fidelity_comparison(
     spec = exact_spectrum(p, dims, keep=n_states)
 
     basis = build_basis(p, n_levels, dims, energy_mode="exact_overlap")
-    ad_states = np.hstack([basis.states_minus, basis.states_plus])
+    ad_states = basis.isometry
     ad_energies = np.concatenate([basis.energies_minus, basis.energies_plus])
     ad_labels = [(n, "-") for n in range(n_levels)] + [(n, "+") for n in range(n_levels)]
 

@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .adiabatic import build_basis
 from .hilbert import SpaceDims
-from .lindblad import RateFunctions, add_spectroscopy_drive, driven_rotating_dme
+from .lindblad import RateFunctions, _cross_drive_op, driven_rotating_dme
 from .dynamics import (
     NumericsError,
     _solve_liouvillian,
@@ -98,13 +98,13 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _solve_point(cfg, basis, me, shift, omega_s) -> float:
-    """n_total at one probe frequency, from L(0) + omega_s * ``shift`` (co-rotating)
-    or from the pump-frame ``me`` plus the probe tone (time-averaged, no ``shift``)."""
+def _solve_point(cfg, basis, me, op, omega_s) -> float:
+    """n_total at one probe frequency, from L(0) + omega_s * ``op`` with the shift B
+    (co-rotating) or from the pump-frame ``me`` with the probe tone ``op`` (time-averaged)."""
     if cfg.solver == "corotating":
-        rho, *_ = _solve_liouvillian(me.liouvillian() + omega_s * shift, me.dim, generator_scale(me))
+        rho, *_ = _solve_liouvillian(me.liouvillian() + omega_s * op, me.dim, generator_scale(me))
     else:
-        rho = steady_state_timeaveraged(add_spectroscopy_drive(me, basis, cfg.spec_amp, omega_s)).rho
+        rho = steady_state_timeaveraged(me, op, omega_s).rho
     return observables(rho, basis)["n_total"]
 
 
@@ -116,10 +116,11 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     time-independent pump+probe co-rotating generator by default, built once
     per pump: H(omega_s) = H(0) + (omega_s/2)(1_- - 1_+), so each point solves
     L(0) + omega_s B with B = -i[(1_- - 1_+)/2, .] diagonal.  Or the exact
-    period average of the two-tone generator (``solver="timeaveraged"``), which
-    keeps the probe's counter-rotating component: one harmonic solve per
-    point, ~40x the cost (0.24 s against 6 ms at ``n_levels=12``).  Per-point
-    numeric failures are recorded and the scan continues.
+    period average of the pump-frame generator plus the probe tone
+    (``solver="timeaveraged"``), which keeps the probe's counter-rotating
+    component: one harmonic solve per point, ~40x the cost (0.24 s against
+    6 ms at ``n_levels=12``).  Per-point numeric failures are recorded and the
+    scan continues.
     """
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
     pump_freq = basis.omega_minus
@@ -134,14 +135,15 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
         # the probe frame at omega_s = 0, and B from the sector signs of the frame rotation
         point_me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, 0.0)
         half = np.repeat([0.5, -0.5], basis.n_levels)
-        shift = sparse.diags(-1j * (half[:, None] - half).ravel(order="F"), format="csc")
+        op = sparse.diags(-1j * (half[:, None] - half).ravel(order="F"), format="csc")
     else:
-        point_me, shift = baseline_me, None
+        # the probe tone: H(t) = 2 cos(omega_s t) times this Hermitian cross-ladder operator
+        point_me, op = baseline_me, _cross_drive_op(basis, cfg.spec_amp)
     n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
     for idx, ws in enumerate(cfg.omega_s_grid):
         try:
-            n_ss[idx] = _solve_point(cfg, basis, point_me, shift, float(ws))
+            n_ss[idx] = _solve_point(cfg, basis, point_me, op, float(ws))
         except (NumericsError, np.linalg.LinAlgError) as exc:
             # a numeric failure costs one point; anything else is a bug and propagates
             n_ss[idx] = float("nan")

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from dressedrabi.dynamics import evolve
-
 
 def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Lindblad dissipator D[O] rho = (2 O rho O^dag - O^dag O rho - rho O^dag O)/2."""
@@ -24,9 +22,9 @@ def dissipator_apply(op: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return op @ rho @ od - 0.5 * (odo @ rho + rho @ odo)
 
 
-def dense_rhs(me, rho: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """-i[H(t), rho] + sum_k r_k D[O_k] rho, one operator at a time."""
-    h = me.hamiltonian + me.drive_hamiltonian(t)
+def dense_rhs(me, rho: np.ndarray) -> np.ndarray:
+    """-i[H, rho] + sum_k r_k D[O_k] rho, one operator at a time."""
+    h = me.hamiltonian
     out = -1j * (h @ rho - rho @ h)
     for term in me.jumps:
         out = out + term.rate * dissipator_apply(term.op, rho)
@@ -61,15 +59,45 @@ def dense_steady_state(me) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def rk4_time_average(me, rho0: np.ndarray, dt: float, t_start: float) -> np.ndarray:
-    """Mean state over 20 periods of the drive tone after an RK4 burn-in to ``t_start``.
+def _rk4_steps(rhs, rho: np.ndarray, t: float, t_end: float, dt: float):
+    """Classical RK4 steps of dt from t to t_end, the last one shortened; yields each new state."""
+    horizon_eps = 1e-12 * max(t_end - t, 1.0)
+    while t < t_end - horizon_eps:
+        h = min(dt, t_end - t)
+        k1 = rhs(t, rho)
+        k2 = rhs(t + 0.5 * h, rho + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, rho + 0.5 * h * k2)
+        k4 = rhs(t + h, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        yield rho
 
-    The window is sampled every ceil(window / dt / 4000) steps, so at most ~4000
-    samples are kept while the tone stays resolved.
+
+def rk4_time_average(me, tone: np.ndarray, frequency: float, rho0: np.ndarray, dt: float,
+                     t_start: float) -> np.ndarray:
+    """Mean state over 20 periods of the tone after an RK4 burn-in to ``t_start``.
+
+    RK4 integrates me.rhs(rho) - i[H(t), rho] with H(t) = tone e^{-i w t} + h.c.
+    from rho0 at t = 0, the tone's frequency w being ``frequency``.  The window
+    is sampled at its start, every ceil(window / dt / 4000) steps and at its
+    end, so at most ~4000 samples are kept while the tone stays resolved.
     """
-    window = 20 * 2.0 * math.pi / min(abs(tone.frequency) for tone in me.drive)
-    rho = evolve(me, rho0, t_start, dt, store_states=True, stride=10**9).states[-1]
+
+    def rhs(t, rho):
+        h = tone * np.exp(-1j * frequency * t)
+        h = h + h.conj().T
+        return me.rhs(rho) - 1j * (h @ rho - rho @ h)
+
+    rho = rho0
+    for rho in _rk4_steps(rhs, rho0, 0.0, t_start, dt):
+        pass
+    window = 20 * 2.0 * math.pi / abs(frequency)
     stride = max(1, int(math.ceil(window / dt / 4000.0)))
-    traj = evolve(me, rho, t_start + window, dt, t0=t_start, stride=stride, store_states=True)
-    avg = sum(traj.states) / len(traj.states)
+    samples, steps = [rho], 0
+    for steps, rho in enumerate(_rk4_steps(rhs, rho, t_start, t_start + window, dt), 1):
+        if steps % stride == 0:
+            samples.append(rho)
+    if steps % stride:
+        samples.append(rho)
+    avg = sum(samples) / len(samples)
     return 0.5 * (avg + avg.conj().T)

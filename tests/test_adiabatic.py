@@ -81,6 +81,13 @@ def test_orthonormality_and_oracle_fidelity(dims40, omega0, beta, floor):
     assert fid.min() >= floor
 
 
+def test_isometry_is_built_once(dims40):
+    # expand, reduce and project_density all read it: one hstack per basis
+    b = build_basis(RabiParams(1.0, 0.3, 0.1), 4, dims40)
+    assert b.isometry is b.isometry and not b.isometry.flags.writeable
+    assert np.array_equal(b.isometry, np.hstack([b.states_minus, b.states_plus]))
+
+
 @pytest.mark.parametrize("beta", [0.05, 0.1])
 def test_energy_mode_consistency(dims40, beta):
     # exact-overlap and harmonic-ladder energies differ by the dropped
@@ -103,7 +110,9 @@ def test_ladders_algebra(dims40):
     p = RabiParams(1.0, 0.3, 0.1)
     b = build_basis(p, 5, dims40)
     a_plus, a_minus = (b.expand(b.reduced_ladder(sector)) for sector in "+-")
-    proj_plus, proj_minus = (b.expand(b.reduced_projector(sector)) for sector in "+-")
+    # sector projectors 1_+- from the reduced ordering: minus ladder first
+    minus = np.repeat([1.0, 0.0], 5)
+    proj_plus, proj_minus = b.expand(np.diag(1.0 - minus)), b.expand(np.diag(minus))
     assert max_abs(a_plus @ b.state(1, "+") - b.state(0, "+")) < 1e-12
     for n in range(5):
         assert np.linalg.norm(a_plus @ b.state(n, "-")) < 1e-12

@@ -64,6 +64,16 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
     assert "config error" in capsys.readouterr().err
 
 
+def test_spectrum_energy_mode_is_exact_overlap_only(tmp_path, capsys):
+    # spectrum always reports exact-overlap energies; the key stays so that digests do not change
+    for mode in ("truncated", "approximate"):
+        cfg = write_config(tmp_path, {**BASE, "spectrum": {"energy_mode": mode}})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / mode)]) == 2
+        assert "spectrum.energy_mode" in capsys.readouterr().err
+    explicit = resolve_config({"spectrum": {"energy_mode": "exact_overlap"}}, {})
+    assert config_digest(explicit) == config_digest(resolve_config({}, {}))
+
+
 def test_validate_command(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0

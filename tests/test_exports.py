@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -53,3 +54,14 @@ def test_every_exported_name_has_a_caller():
             if not any(word.search(line) and not own.match(line) for line in lines):
                 uncalled.append(name)
     assert not uncalled, f"public names with no caller: {sorted(set(uncalled))}"
+
+
+def test_bench_first_work_targets_resolve():
+    # the bench ends set-up at the first call of one of these; a renamed target
+    # would read as absent and silently move setup_s
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FIRST_WORK
+    absent = [target for target in tracing.FIRST_WORK if tracing._resolve(target) is None]
+    assert absent == []

@@ -10,7 +10,6 @@ from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
     RateFunctions,
-    add_spectroscopy_drive,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -198,7 +197,6 @@ def test_dephasing_term(basis):
 def test_driven_rotating_structure(basis):
     rates = fig3_rates()
     me = driven_rotating_dme(basis, rates, pump_amp=0.0, pump_freq=basis.omega_minus)
-    assert not me.time_dependent
     labels = [t.label for t in me.jumps]
     assert labels.count("ladder_plus") == 1 and labels.count("ladder_minus") == 1
     assert sum(lbl.startswith("cross_") for lbl in labels) == 12
@@ -228,30 +226,10 @@ def test_coherent_steady_state_of_driven_generator(basis):
     assert max_abs(me.rhs(rho)) < 1e-8
 
 
-def test_spectroscopy_drive(basis):
-    rates = fig3_rates()
-    me = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus)
-    assert add_spectroscopy_drive(me, basis, 0.0, 0.29) is me
-    med = add_spectroscopy_drive(me, basis, 0.0003, 0.29)
-    assert med.time_dependent and len(med.drive) == 1
-    tone = med.drive[0]
-    assert tone.frequency == 0.29
-    # tone operator: -2 beta Omega_s on every equal-N cross element
-    for n in range(12):
-        assert abs(tone.op[n, 12 + n] - (-2 * 0.1 * 0.0003)) < 1e-18
-    # h(t) carries e^{+i w t} + e^{-i w t}: at t=0 the full weight, Hermitian
-    h0 = med.drive_hamiltonian(0.0)
-    assert max_abs(h0 - h0.conj().T) < 1e-15
-    assert abs(h0[0, 12] - 2 * tone.op[0, 12]) < 1e-18
-    with pytest.raises(ValueError):
-        add_spectroscopy_drive(zero_temperature_dme(basis, rates), basis, 1e-4, 0.29)
-
-
 def test_corotating_two_tone_detunings(basis):
     rates = fig3_rates()
     ws = basis.omega_tilde[0]
     me = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, 0.0003, ws)
-    assert not me.time_dependent
     assert me.metadata["frame"] == "pump+probe"
     h = me.hamiltonian
     # pair splitting becomes omega_tilde_N - omega_s: zero on rung 0
@@ -266,8 +244,6 @@ def test_corotating_two_tone_detunings(basis):
     assert max_abs((h - pump_only.hamiltonian)[:12, :12] - 0.5 * ws * np.eye(12)) < 1e-15
     with pytest.raises(ValueError):
         driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, spec_amp=0.0003)
-    with pytest.raises(ValueError):
-        add_spectroscopy_drive(me, basis, 0.0003, ws)
 
 
 def test_validation_guards(dims40, basis):

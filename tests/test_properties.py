@@ -1,7 +1,8 @@
 """Generator invariants across the validity window, drawn with hypothesis.
 
 Every example is a small generator (d <= 12) drawn with omega0 <= 0.3,
-|beta| <= 0.2, a few dressed levels, flat rates and a temperature.  The
+|beta| <= 0.2, a few dressed levels, flat rates and a temperature, or a
+pumped dressed generator with a probe tone for the harmonic time average.  The
 profile is derandomized, so each run checks the same examples, and the whole
 module stays within a few seconds.  The sparse Liouvillian is compared with
 the dense kron reference of ``dense_reference``.
@@ -16,12 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dressedrabi.adiabatic import build_basis
-from dressedrabi.dynamics import _reachable_block, generator_scale, steady_state_nullspace
+from dressedrabi.dynamics import (
+    _reachable_block,
+    generator_scale,
+    steady_state_nullspace,
+    steady_state_timeaveraged,
+)
 from dressedrabi.hilbert import SpaceDims, max_abs
 from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
     RateFunctions,
+    _cross_drive_op,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -37,9 +44,9 @@ PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=
 
 
 @st.composite
-def params(draw):
+def params(draw, max_levels: int = 4):
     """(omega0, beta, n_levels) with n_levels under the ladder cap 1/(8 beta^2)."""
-    n_levels = draw(st.integers(2, 4))
+    n_levels = draw(st.integers(2, max_levels))
     beta_max = min(0.2, (0.125 / n_levels) ** 0.5)
     return draw(st.floats(0.05, 0.3)), draw(st.floats(-beta_max, beta_max)), n_levels
 
@@ -169,3 +176,22 @@ def test_dme_is_the_bare_operator_me_at_zero_coupling(omega0, n_levels, big, sma
     sme = standard_master_equation(b.params, rates, b.dims)
     rho = np.diag(np.random.default_rng(seed).dirichlet(np.ones(b.reduced_dim))).astype(complex)
     assert max_abs(b.reduce(sme.rhs(b.expand(rho))) - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
+
+
+@PROFILE
+@given(params(max_levels=5), st.floats(0.01, 0.4), st.floats(0.01, 0.1), st.floats(0.0, 0.1), st.data())
+def test_timeaveraged_state_across_the_window(dressed, big, small, gamma_f, data):
+    # the pumped generator of a time-averaged scan point, probed near the pair splitting
+    b = _basis(*dressed)
+    rates = RateFunctions.flat(big, small, gamma_f=gamma_f)
+    me = driven_rotating_dme(b, rates, data.draw(st.floats(0.0, big)), b.omega_minus)
+    omega_s = data.draw(st.floats(0.5, 1.2)) * b.params.omega0
+    # a zero tone decouples the harmonics: rho_0 is the nullspace state
+    zero = steady_state_timeaveraged(me, np.zeros((me.dim, me.dim), dtype=complex), omega_s)
+    assert max_abs(zero.rho - steady_state_nullspace(me).rho) <= 1e-12
+    # a probe up to the cross-ladder rate, the CLI's default strength
+    spec_amp = data.draw(st.floats(0.01, 1.0)) * rates.cross_rate(b.params.beta, omega_s)
+    rho = steady_state_timeaveraged(me, _cross_drive_op(b, spec_amp), omega_s).rho
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert max_abs(rho - rho.conj().T) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
