@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -138,14 +139,40 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             cfg["n_cut"] = value
         elif key == "n_levels":
             cfg["n_levels"] = value
-    if cfg["n_cut"] < 2:
-        raise ConfigError("n_cut must be >= 2")
-    if cfg["n_levels"] < 1:
-        raise ConfigError("n_levels must be >= 1")
+    _require_int(cfg["n_cut"], "n_cut", 2)
+    _require_int(cfg["n_levels"], "n_levels", 1)
+    _require_int(cfg["spectrum"]["keep"], "spectrum.keep", 1)
+    _require_int(cfg["fidelity"]["n_states"], "fidelity.n_states", 1)
+    relax = cfg["relax"]
+    for key in ("dt", "t_end_over_rate"):
+        if not (_is_finite(relax[key]) and relax[key] > 0):
+            raise ConfigError(f"relax.{key} must be a finite number > 0")
+    _require_int(relax["stride"], "relax.stride", 1)
+    _require_numbers(relax["beta_grid"], "relax.beta_grid")
+    for block in ("drive", "spectroscopy"):
+        if cfg[block]["pump_amps"] is not None:
+            _require_numbers(cfg[block]["pump_amps"], f"{block}.pump_amps")
+    _require_numbers(cfg["spectroscopy"]["baselines"], "spectroscopy.baselines")
+    _require_int(cfg["spectroscopy"]["grid_points"], "spectroscopy.grid_points", 1)
     # kept as a key so that configs and their digests stay valid; spectrum reports exact-overlap energies
     if cfg["spectrum"]["energy_mode"] != "exact_overlap":
         raise ConfigError("spectrum.energy_mode must be 'exact_overlap', the only energies spectrum reports")
     return cfg
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _require_int(value, name: str, minimum: int):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}")
+
+
+def _require_numbers(value, name: str):
+    # an empty list would run nothing and write a header-only table
+    if not isinstance(value, list) or not value or not all(_is_finite(v) for v in value):
+        raise ConfigError(f"{name} must be a non-empty list of finite numbers")
 
 
 def config_digest(cfg: dict) -> str:
@@ -238,7 +265,7 @@ def _validity_meta(cfg: dict) -> dict:
 def cmd_spectrum(cfg: dict, out: Path) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
-    n_states = int(cfg["spectrum"]["keep"])
+    n_states = cfg["spectrum"]["keep"]
     comparison = fidelity_comparison(p, n_states, dims, n_levels=cfg["n_levels"])
     rows = []
     for r in comparison.rows:
@@ -261,7 +288,7 @@ def cmd_spectrum(cfg: dict, out: Path) -> dict:
 
 def cmd_fidelity(cfg: dict, out: Path) -> dict:
     dims = SpaceDims(cfg["n_cut"])
-    n_states = int(cfg["fidelity"]["n_states"])
+    n_states = cfg["fidelity"]["n_states"]
     rows = []
     summaries = []
     for point in cfg["fidelity"]["grid"]:
@@ -410,7 +437,7 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
         gamma = rates.oscillator_rate(p.omega_minus)
         pump_amps = [gamma / 2.0 * float(np.sqrt(b)) for b in sc["baselines"]]
 
-    grid = default_scan_grid(p, int(sc["grid_points"]), tuple(sc["span"]))
+    grid = default_scan_grid(p, sc["grid_points"], tuple(sc["span"]))
     scan_cfg = SpectroscopyConfig(
         params=p,
         rates=rates,

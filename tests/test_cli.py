@@ -55,6 +55,21 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("validate", {"rates": {"Gamma": float("nan")}}, []),
         ("drive", {}, ["--n-levels", "100"]),
         ("drive", {"params": {"omega0": -0.1}}, []),
+        ("relax", {"relax": {"dt": float("nan")}}, []),
+        ("relax", {"relax": {"t_end_over_rate": float("inf")}}, []),
+        ("relax", {"relax": {"t_end_over_rate": -1}}, []),
+        ("relax", {"relax": {"stride": 0}}, []),
+        ("relax", {"relax": {"stride": 2.5}}, []),
+        ("relax", {"relax": {"beta_grid": [float("nan")]}}, []),
+        ("relax", {"relax": {"beta_grid": 0.1}}, []),
+        ("validate", {"n_cut": 2.5}, []),
+        ("validate", {"n_levels": "8"}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": []}}, []),
+        ("spectroscopy", {"spectroscopy": {"pump_amps": []}}, []),
+        ("spectroscopy", {"spectroscopy": {"grid_points": 0}}, []),
+        ("drive", {"drive": {"pump_amps": []}}, []),
+        ("fidelity", {"fidelity": {"n_states": 0}}, []),
+        ("spectrum", {"spectrum": {"keep": 0}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
@@ -62,6 +77,8 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
     code = main([command, "--config", cfg, "--out", str(tmp_path / "bad"), *flags])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # rejected before any table is written
+    assert not list(tmp_path.glob("bad/*.csv"))
 
 
 def test_spectrum_energy_mode_is_exact_overlap_only(tmp_path, capsys):

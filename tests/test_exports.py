@@ -1,7 +1,10 @@
 import importlib
 import importlib.util
 import pkgutil
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,13 @@ def test_bench_first_work_targets_resolve():
     assert tracing.FIRST_WORK
     absent = [target for target in tracing.FIRST_WORK if tracing._resolve(target) is None]
     assert absent == []
+
+
+def test_cli_import_leaves_heavy_scipy_unloaded():
+    # every CLI run pays for what importing the package loads; these subpackages
+    # cost ~0.2 s and ~17 MB together and only the state pairing needs one of them
+    heavy = ["scipy.optimize", "scipy.special", "scipy.fft", "scipy.spatial", "scipy.sparse.csgraph"]
+    probe = f"import sys, dressedrabi.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
