@@ -12,6 +12,8 @@ in units of the oscillator frequency (omega = 1 internally).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
 import json
 import math
@@ -22,6 +24,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .adiabatic import build_basis, validity_report
@@ -154,6 +157,15 @@ def resolve_config(raw: dict, overrides: dict) -> dict:
             _require_numbers(cfg[block]["pump_amps"], f"{block}.pump_amps")
     _require_numbers(cfg["spectroscopy"]["baselines"], "spectroscopy.baselines")
     _require_int(cfg["spectroscopy"]["grid_points"], "spectroscopy.grid_points", 1)
+    span = cfg["spectroscopy"]["span"]
+    if not (isinstance(span, list) and len(span) == 2 and all(_is_finite(v) for v in span)):
+        raise ConfigError("spectroscopy.span must be a list of two finite numbers")
+    grid = cfg["fidelity"]["grid"]
+    if not (isinstance(grid, list) and grid and all(
+        isinstance(point, dict) and set(point) == {"omega0", "beta"} and all(map(_is_finite, point.values()))
+        for point in grid
+    )):
+        raise ConfigError("fidelity.grid must be a non-empty list of {omega0, beta} tables of finite numbers")
     # kept as a key so that configs and their digests stay valid; spectrum reports exact-overlap energies
     if cfg["spectrum"]["energy_mode"] != "exact_overlap":
         raise ConfigError("spectrum.energy_mode must be 'exact_overlap', the only energies spectrum reports")
@@ -580,35 +592,65 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the OpenBLAS bundled in numpy's and scipy's wheels at one thread each.
+
+    Every dense matrix here is small (an 80 x 80 state, a 24-rung basis): a
+    second OpenBLAS thread only makes each call wait for it, for milliseconds at
+    a time on a 2-core machine.  The old counts come back on the way out, so a
+    process that calls ``main`` keeps its own.  Any other BLAS is left alone.
+    """
+    pools = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_threads is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                pools.append((set_threads, get()))
+    for set_threads, _ in pools:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in pools:
+            set_threads(count)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = resolve_config(load_config(args.config), {"n_cut": args.n_cut, "n_levels": args.n_levels})
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        started = time.perf_counter()
-        result = _COMMANDS[args.command](cfg, out)
-        if cfg["check_truncation"] and args.command != "validate":
-            result["meta"]["truncation_shift"] = truncation_shift(
-                args.command, cfg, out, result["files"]
+    with _one_blas_thread():
+        try:
+            cfg = resolve_config(load_config(args.config), {"n_cut": args.n_cut, "n_levels": args.n_levels})
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            started = time.perf_counter()
+            result = _COMMANDS[args.command](cfg, out)
+            if cfg["check_truncation"] and args.command != "validate":
+                result["meta"]["truncation_shift"] = truncation_shift(
+                    args.command, cfg, out, result["files"]
+                )
+            wall = time.perf_counter() - started
+            digest = config_digest(cfg)
+            write_sidecar(
+                out / f"{args.command}.meta.json",
+                cfg,
+                digest,
+                {"command": args.command, "wall_time_s": wall, **result["meta"], "files": result["files"]},
             )
-        wall = time.perf_counter() - started
-        digest = config_digest(cfg)
-        write_sidecar(
-            out / f"{args.command}.meta.json",
-            cfg,
-            digest,
-            {"command": args.command, "wall_time_s": wall, **result["meta"], "files": result["files"]},
-        )
-        print(f"{args.command}: wrote {', '.join(result['files'])} (wall {wall:.2f}s)")
-        return 0
-    except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # ConfigError, and the input checks of the library (parameters, rates, sizes)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+            print(f"{args.command}: wrote {', '.join(result['files'])} (wall {wall:.2f}s)")
+            return 0
+        except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            # ConfigError, and the input checks of the library (parameters, rates, sizes)
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

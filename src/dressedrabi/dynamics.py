@@ -74,6 +74,9 @@ def _slowest_relaxation_rate(me: MasterEquation) -> float:
 
 def _prepare_state(me: MasterEquation, rho0: np.ndarray) -> tuple[np.ndarray, float]:
     """Bring an initial state into the generator's representation."""
+    # the eigenvalue floor's Cholesky test would pass NaN entries through
+    if not np.isfinite(rho0).all():
+        raise ValueError("initial state has non-finite entries")
     if rho0.shape == (me.dim, me.dim):
         return rho0.astype(complex, copy=True), 0.0
     if me.basis is not None:
@@ -166,6 +169,12 @@ def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.
     return np.flatnonzero(reached), float(np.abs(x[~reached]).sum())
 
 
+# samples per grid call of exact propagation: bounds its states at _CHUNK x block x 16 B
+_CHUNK = 100
+# a sampled state may have eigenvalues down to -_EIG_FLOOR
+_EIG_FLOOR = 1e-7
+
+
 def evolve(
     me: MasterEquation,
     rho0: np.ndarray,
@@ -180,18 +189,24 @@ def evolve(
     """Integrate d(rho)/dt = L[rho] from 0 to t_end, sampling every ``stride`` steps of ``dt``.
 
     Samples are taken at k dt stride and at t_end.  By default classical RK4
-    steps dt.  With ``exact`` the generator is instead propagated exactly from
-    sample to sample by ``expm_multiply`` (A. H. Al-Mohy and N. J. Higham,
-    SIAM J. Sci. Comput. 33, 488 (2011)), restricted to the block of unknowns
-    reachable from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only
-    set the sample spacing.  The sub-floor entries of rho0 outside the block are
+    steps dt.  With ``exact`` the generator is instead propagated exactly by
+    the time-stepping form of ``expm_multiply`` (A. H. Al-Mohy and N. J.
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)): one call per chunk of at
+    most ``_CHUNK`` evenly spaced samples, and one for the last, possibly
+    shorter interval.  It is restricted to the block of unknowns reachable
+    from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only set the
+    sample spacing.  The sub-floor entries of rho0 outside the block are
     dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
     The trace is never renormalized; trace drift beyond ``trace_tol`` or a
-    sample with an eigenvalue below -1e-7 aborts with a diagnostic.
-    ``metadata`` records ``method`` (``"rk4"`` or ``"expm"``), ``block_dim``
-    (unknowns propagated), ``dropped_weight``, ``initial_leakage``,
-    ``max_trace_drift``, ``min_eigenvalue`` and ``steps`` (RK4 steps, or
-    exact sample intervals).
+    sample with an eigenvalue below -1e-7 aborts with a diagnostic.  The
+    eigenvalue floor is a Cholesky test of the Hermitian part plus 1e-7 I;
+    the eigenvalues themselves are computed only for a sample that fails it
+    and for the final sample.  ``metadata`` records ``method`` (``"rk4"`` or
+    ``"expm"``), ``block_dim`` (unknowns propagated), ``dropped_weight``,
+    ``initial_leakage``, ``max_trace_drift``, ``steps`` (RK4 steps, or exact
+    sample intervals) and ``min_eigenvalue``: the smallest of 0 and the
+    eigenvalues computed, those of the final sample and of every sample that
+    failed the Cholesky test.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -204,17 +219,25 @@ def evolve(
     obs_records = [_observe(me, rho)]
     max_drift = 0.0
     min_eig_seen = 0.0
+    final_herm = None
+    floor_shift = _EIG_FLOOR * np.eye(d)
 
     def sample(t: float, rho: np.ndarray) -> None:
-        nonlocal max_drift, min_eig_seen
+        nonlocal max_drift, min_eig_seen, final_herm
         drift = abs(float(np.real(np.trace(rho))) - trace0)
         max_drift = max(max_drift, drift)
         if drift > trace_tol:
             raise NumericsError(f"trace drift {drift:.3g} exceeds {trace_tol:.3g} at t={t:.6g}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-        min_eig_seen = min(min_eig_seen, min_eig)
-        if min_eig < -1e-7:
-            raise NumericsError(f"state eigenvalue {min_eig:.3g} below -1e-07 at t={t:.6g}")
+        herm = final_herm = 0.5 * (rho + rho.conj().T)
+        try:
+            # succeeds iff every eigenvalue of herm exceeds -_EIG_FLOOR, up to a rounding
+            # error far below the floor, at a fraction of eigvalsh's cost
+            np.linalg.cholesky(herm + floor_shift)
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(herm)[0])
+            min_eig_seen = min(min_eig_seen, min_eig)
+            if min_eig < -_EIG_FLOOR:
+                raise NumericsError(f"state eigenvalue {min_eig:.3g} below -1e-07 at t={t:.6g}") from None
         times.append(t)
         if store_states:
             states.append(rho.copy())
@@ -233,13 +256,24 @@ def evolve(
         gen_trace = gen.diagonal().sum()
         x = vec[block]
         full = np.zeros(d * d, dtype=complex)
-        sample_times = [t + step for t, step, is_sample in _step_grid(t_end, dt, stride) if is_sample]
-        for t, t_next in zip([0.0] + sample_times, sample_times):
-            h = t_next - t
-            x = expm_multiply(h * gen, x, traceA=h * gen_trace)
-            full[block] = x
-            sample(t_next, _unvec(full, d))
-        steps, method, block_dim = len(sample_times), "expm", int(block.size)
+        times_at = [0.0] + [t + step for t, step, is_sample in _step_grid(t_end, dt, stride) if is_sample]
+        steps = len(times_at) - 1
+        # every interval but the last spans stride steps of dt, so a chunk of them is an even grid
+        bounds = [*range(0, steps - 1, _CHUNK), steps - 1, steps] if steps else []
+        for first, last in zip(bounds, bounds[1:]):
+            # the grid form's norm estimate draws from numpy's global generator: give the caller's back
+            rng_state = np.random.get_state()
+            chunk = expm_multiply(
+                gen, x, start=0.0, stop=times_at[last] - times_at[first], num=last - first + 1,
+                endpoint=True, traceA=gen_trace,
+            )
+            np.random.set_state(rng_state)
+            for t_next, x in zip(times_at[first + 1 : last + 1], chunk[1:]):
+                full[block] = x
+                sample(t_next, _unvec(full, d))
+            # so that one chunk at a time is held: x, the next chunk's start, is a view into this one
+            x, chunk = x.copy(), None
+        method, block_dim = "expm", int(block.size)
     else:
         steps, dropped = 0, 0.0
         for t, step, is_sample in _step_grid(t_end, dt, stride):
@@ -248,6 +282,8 @@ def evolve(
             if is_sample:
                 sample(t + step, rho)
         method, block_dim = "rk4", d * d
+    if final_herm is not None:
+        min_eig_seen = min(min_eig_seen, float(np.linalg.eigvalsh(final_herm)[0]))
 
     obs = {key: np.array([rec[key] for rec in obs_records]) for key in obs_records[0]}
     return Trajectory(
@@ -301,7 +337,8 @@ def _solve_liouvillian(system, d: int, scale: float):
     The unit-trace row of rho_0, weighted by ``scale``, is folded into row 0
     and SuperLU solves the result; a singular factor or a residual above
     ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
-    with the trace row appended.  rho_0 is Hermitized and clipped.  Returns
+    with the trace row appended; a non-finite system or splu solution raises
+    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns
     (rho_0, residual, clipped weight, path): the residual is max|M v - b| of
     the folded system with the clipped rho_0 in v, which for a unit-trace
     rho_0 is max|system v|; path is ``"splu"`` or ``"lstsq"``.
@@ -315,14 +352,20 @@ def _solve_liouvillian(system, d: int, scale: float):
         v[: d * d] = rho.reshape(-1, order="F")
         return rho, float(max_abs(system @ v)), clipped
 
+    if not np.isfinite(system.data).all():
+        raise NumericsError("the steady-state system has non-finite entries")
     b = np.zeros(n, dtype=complex)
     b[0] = scale
     path = "splu"
     try:
-        rho, residual, clipped = finish(splu((system + fold).tocsc()).solve(b))
-    except (RuntimeError, np.linalg.LinAlgError):
+        v = splu((system + fold).tocsc()).solve(b)
+    except RuntimeError:
         # splu reports an exactly singular factor as a RuntimeError
         residual = math.inf
+    else:
+        if not np.isfinite(v).all():
+            raise NumericsError("splu returned a non-finite steady state")
+        rho, residual, clipped = finish(v)
     # written so that a NaN residual fails the check
     if not residual <= _RESIDUAL_TOL * scale:
         if n > _DENSE_MAX:

@@ -70,6 +70,14 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("drive", {"drive": {"pump_amps": []}}, []),
         ("fidelity", {"fidelity": {"n_states": 0}}, []),
         ("spectrum", {"spectrum": {"keep": 0}}, []),
+        ("spectroscopy", {"spectroscopy": {"span": [0.0, float("nan")]}}, []),
+        ("spectroscopy", {"spectroscopy": {"span": [0.0]}}, []),
+        ("spectroscopy", {"spectroscopy": {"span": [0.0, 6.0, 12.0]}}, []),
+        ("fidelity", {"fidelity": {"grid": [{"omega0": 0.1}]}}, []),
+        ("fidelity", {"fidelity": {"grid": []}}, []),
+        ("fidelity", {"fidelity": {"grid": [{"omega0": 0.1, "beta": 0.1, "n_cut": 20}]}}, []),
+        ("fidelity", {"fidelity": {"grid": [{"omega0": 0.1, "beta": float("inf")}]}}, []),
+        ("fidelity", {"fidelity": {"grid": [[0.1, 0.1]]}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):

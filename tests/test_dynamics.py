@@ -8,8 +8,10 @@ from scipy.sparse.linalg import expm_multiply
 
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
+    _CHUNK,
     NumericsError,
     _reachable_block,
+    _solve_liouvillian,
     _unvec,
     coherent_dressed_ket,
     evolve,
@@ -184,6 +186,70 @@ def test_exact_checks_the_eigenvalue_floor(dims40):
     rho0[6, 6] = -0.2
     with pytest.raises(NumericsError, match="eigenvalue"):
         evolve(me, rho0, 1.0, 0.02, stride=5, exact=True)
+
+
+def test_exact_chunks_match_per_interval_propagation(dims40):
+    # more sample intervals than one grid call takes, and a shortened tail:
+    # the chunked grid calls against one expm_multiply per interval
+    _, me, rho0 = _exact_cases(dims40)[1]
+    n_full = _CHUNK + 30
+    traj = evolve(me, rho0, n_full * 0.02 + 0.007, 0.01, stride=2, exact=True)
+    intervals = np.diff(traj.times)
+    assert len(intervals) == n_full + 1 and intervals[-1] == pytest.approx(0.007)
+    x = rho0.reshape(-1, order="F")
+    for h, state in zip(intervals, traj.states[1:]):
+        x = expm_multiply(h * me.liouvillian(), x)
+        assert max_abs(state - _unvec(x, me.dim)) < 1e-12
+
+
+def test_exact_leaves_the_global_random_stream_alone(dims40):
+    # a chunk spanning many intervals makes scipy estimate matrix-power norms with random vectors
+    _, me, rho0 = _exact_cases(dims40)[0]
+    np.random.seed(7)
+    expected = np.random.random_sample()
+    np.random.seed(7)
+    evolve(me, rho0, 40.0, 0.02, stride=20, exact=True, store_states=False)
+    assert np.random.random_sample() == expected
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_eigenvalue_floor_tolerates_rounding_but_not_negativity(dims40, exact):
+    # a negative population in |Psi_0^+> decays at kappa = 0.05: over t = 1 it keeps
+    # 95% of its size, so -1e-9 stays above the floor and -1e-6 stays below it
+    b = _basis(dims40)
+    me = zero_temperature_dme(b, _moderate_rates()[0])
+    for negative in (1e-9, 1e-6):
+        rho0 = np.zeros((12, 12), dtype=complex)
+        rho0[0, 0] = 1.0 + negative
+        rho0[6, 6] = -negative
+        if negative > 1e-7:
+            with pytest.raises(NumericsError, match="eigenvalue"):
+                evolve(me, rho0, 1.0, 0.02, stride=5, exact=exact)
+            continue
+        traj = evolve(me, rho0, 1.0, 0.02, stride=5, exact=exact)
+        assert len(traj.times) == 11
+        # every sample passed the Cholesky test: min_eigenvalue is the final sample's
+        final = np.linalg.eigvalsh(0.5 * (traj.states[-1] + traj.states[-1].conj().T))[0]
+        assert traj.metadata["min_eigenvalue"] == final
+        assert -1e-9 < final < -0.9e-9
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_non_finite_initial_state_is_refused(dims40, exact):
+    me = zero_temperature_dme(_basis(dims40), _moderate_rates()[0])
+    rho0 = np.zeros((12, 12), dtype=complex)
+    rho0[0, 0] = 1.0
+    rho0[0, 6] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        evolve(me, rho0, 1.0, 0.02, stride=5, exact=exact)
+
+
+def test_non_finite_system_is_refused_before_the_dense_retry():
+    me = MasterEquation(hamiltonian=np.diag(np.arange(4.0)).astype(complex))
+    system = me.liouvillian().copy()
+    system.data[3] = np.nan
+    with pytest.raises(NumericsError, match="non-finite"):
+        _solve_liouvillian(system, me.dim, 3.0)
 
 
 def test_ground_readout_matches_stored_states():

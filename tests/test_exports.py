@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import pkgutil
 import os
 import re
@@ -78,3 +79,53 @@ def test_cli_import_leaves_heavy_scipy_unloaded():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+_THREAD_PROBE = r"""
+import ctypes, glob, json, os, sys, tempfile
+
+import numpy, scipy, scipy.linalg
+
+pools = []
+for package, suffix in ((numpy, "64_"), (scipy, "")):
+    libs = os.path.join(os.path.dirname(package.__file__), os.pardir, package.__name__ + ".libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        pools.append((getattr(lib, "scipy_openblas_get_num_threads" + suffix),
+                      getattr(lib, "scipy_openblas_set_num_threads" + suffix)))
+if len(pools) != 2:
+    print(json.dumps(None))
+    sys.exit()
+for _, set_threads in pools:
+    set_threads(2)
+counts = lambda: [get() for get, _ in pools]
+record = {"before": counts()}
+import dressedrabi.cli as cli
+record["imported"] = counts()
+record["runs"] = []
+for error in (None, cli.ConfigError("probe"), cli.NumericsError("probe")):
+    seen = []
+    def command(cfg, out, error=error):
+        seen.append(counts())
+        if error is not None:
+            raise error
+        return {"files": [], "meta": {}}
+    cli._COMMANDS["validate"] = command
+    code = cli.main(["validate", "--out", tempfile.mkdtemp()])
+    record["runs"].append({"code": code, "during": seen[0], "after": counts()})
+print(json.dumps(record))
+"""
+
+
+def test_cli_runs_blas_single_threaded_and_restores_the_counts():
+    # the CLI's matrices are too small for a second BLAS thread; a process that
+    # imports the package or calls main must get its own thread counts back
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
+    record = json.loads(result.stdout.strip().splitlines()[-1])
+    if record is None:
+        pytest.skip("numpy or scipy does not bundle its own OpenBLAS")
+    assert record["before"] == record["imported"] == [2, 2]
+    assert [(run["code"], run["during"], run["after"]) for run in record["runs"]] == [
+        (0, [1, 1], [2, 2]), (2, [1, 1], [2, 2]), (3, [1, 1], [2, 2])
+    ]
