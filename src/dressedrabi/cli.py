@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import ctypes
 import hashlib
 import json
-import math
 import sys
 import time
 import warnings
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -54,68 +56,109 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config schema: defaults define the allowed keys; unknown keys are rejected
+# config schema: each key maps to (default, kind), a table to its own schema.
+# Unknown keys are rejected; values are kept as given, so each config has one digest.
 
-_DEFAULTS = {
-    "params": {"omega": 1.0, "omega0": 0.3, "beta": 0.1},
+
+class _Kind(NamedTuple):
+    check: Callable[[object], bool]
+    text: str  # what a valid value is, for the error message
+
+
+def _is_finite(value) -> bool:
+    # a bool is not a number; abs() <= max also rejects NaN and ints beyond float range
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _integer(minimum: int) -> _Kind:
+    return _Kind(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= minimum,
+                 f"an integer >= {minimum}")
+
+
+def _one_of(*choices: str) -> _Kind:
+    return _Kind(lambda v: isinstance(v, str) and v in choices, f"one of {list(choices)}")
+
+
+def _optional(kind: _Kind) -> _Kind:
+    return _Kind(lambda v: v is None or kind.check(v), f"null or {kind.text}")
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    # an empty list would run nothing and write a header-only table
+    return _Kind(lambda v: isinstance(v, list) and bool(v) and all(map(kind.check, v)),
+                 f"a non-empty list, each {kind.text}")
+
+
+_NUMBER = _Kind(_is_finite, "a finite number")
+_POSITIVE = _Kind(lambda v: _is_finite(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = _Kind(lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
+_BOOL = _Kind(lambda v: isinstance(v, bool), "true or false")
+_RATE_PAIR = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and _is_finite(v[0]) and _NONNEGATIVE.check(v[1]),
+                   "a [frequency, rate >= 0] pair")
+_SPAN = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)),
+              "a list of two finite numbers")
+_GRID_POINT = _Kind(lambda v: isinstance(v, dict) and set(v) == {"omega0", "beta"}
+                    and _NONNEGATIVE.check(v["omega0"]) and _is_finite(v["beta"]),
+                    "an {omega0 >= 0, beta} table of finite numbers")
+
+_SCHEMA = {
+    "params": {"omega": (1.0, _POSITIVE), "omega0": (0.3, _NONNEGATIVE), "beta": (0.1, _NUMBER)},
     "rates": {
-        "Gamma": 0.00108,
-        "gamma": 0.000108,
-        "gamma_f": 0.0,
-        "temperature": 0.0,
-        "Gamma_table": None,
-        "gamma_table": None,
+        "Gamma": (0.00108, _NONNEGATIVE),
+        "gamma": (0.000108, _NONNEGATIVE),
+        "gamma_f": (0.0, _NONNEGATIVE),
+        "temperature": (0.0, _NONNEGATIVE),
+        "Gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
+        "gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
     },
-    "n_cut": 40,
-    "n_levels": 12,
-    "check_truncation": False,
-    "spectrum": {"keep": 12, "energy_mode": "exact_overlap"},
+    "n_cut": (40, _integer(2)),
+    "n_levels": (12, _integer(1)),
+    "check_truncation": (False, _BOOL),
+    # energy_mode stays a key so that configs and their digests stay valid; spectrum reports exact-overlap energies
+    "spectrum": {"keep": (12, _integer(1)), "energy_mode": ("exact_overlap", _one_of("exact_overlap"))},
     "fidelity": {
-        "n_states": 6,
-        "grid": [
-            {"omega0": 0.05, "beta": 0.1},
-            {"omega0": 0.15, "beta": 0.1},
-            {"omega0": 3.0, "beta": 0.1},
-        ],
+        "n_states": (6, _integer(1)),
+        "grid": ([{"omega0": 0.05, "beta": 0.1}, {"omega0": 0.15, "beta": 0.1}, {"omega0": 3.0, "beta": 0.1}],
+                 _list_of(_GRID_POINT)),
     },
     "relax": {
-        "t_end_over_rate": 5.0,
-        "dt": 0.02,
-        "stride": 20,
-        "beta_grid": [0.02, 0.05, 0.1, 0.15, 0.2],
+        "t_end_over_rate": (5.0, _POSITIVE),
+        "dt": (0.02, _POSITIVE),
+        "stride": (20, _integer(1)),
+        "beta_grid": ([0.02, 0.05, 0.1, 0.15, 0.2], _list_of(_NUMBER)),
     },
-    "drive": {"pump_amps": None, "detuning": 0.0},
+    "drive": {"pump_amps": (None, _optional(_list_of(_NUMBER))), "detuning": (0.0, _NUMBER)},
     "spectroscopy": {
-        "pump_amps": None,
-        "baselines": [0.5, 1.0, 2.0, 4.0],
-        "spec_amp": None,
-        "grid_points": 241,
-        "span": [0.0, 12.0],
-        "solver": "corotating",
-        "t_start": None,
-        "window": None,
-        "dt": None,
+        "pump_amps": (None, _optional(_list_of(_NUMBER))),
+        "baselines": ([0.5, 1.0, 2.0, 4.0], _list_of(_POSITIVE)),
+        "spec_amp": (None, _optional(_NUMBER)),
+        "grid_points": (241, _integer(1)),
+        "span": ([0.0, 12.0], _SPAN),
+        "solver": ("corotating", _one_of("corotating", "timeaveraged")),
+        "t_start": (None, _optional(_NUMBER)),
+        "window": (None, _optional(_NUMBER)),
+        "dt": (None, _optional(_NUMBER)),
     },
     "validate": {},
 }
 
 
-def _merge(defaults, given, path=""):
+def _resolve(schema: dict, given, path: str) -> dict:
     if not isinstance(given, dict):
         raise ConfigError(f"expected a table at {path or 'top level'}, got {type(given).__name__}")
-    out = {}
-    for key, default in defaults.items():
-        if key in given:
-            value = given[key]
-            if isinstance(default, dict):
-                out[key] = _merge(default, value, f"{path}{key}.")
-            else:
-                out[key] = value
-        else:
-            out[key] = json.loads(json.dumps(default)) if isinstance(default, (dict, list)) else default
-    unknown = set(given) - set(defaults)
+    unknown = set(given) - set(schema)
     if unknown:
         raise ConfigError(f"unknown config keys at {path or 'top level'}: {sorted(unknown)}")
+    out = {}
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            out[key] = _resolve(entry, given.get(key, {}), f"{path}{key}.")
+            continue
+        default, kind = entry
+        value = given.get(key, default)
+        if not kind.check(value):
+            raise ConfigError(f"{path}{key} must be {kind.text}, got {value!r:.80}")
+        out[key] = copy.deepcopy(value)
     return out
 
 
@@ -134,57 +177,9 @@ def load_config(path: str | None) -> dict:
 
 
 def resolve_config(raw: dict, overrides: dict) -> dict:
-    cfg = _merge(_DEFAULTS, raw)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key == "n_cut":
-            cfg["n_cut"] = value
-        elif key == "n_levels":
-            cfg["n_levels"] = value
-    _require_int(cfg["n_cut"], "n_cut", 2)
-    _require_int(cfg["n_levels"], "n_levels", 1)
-    _require_int(cfg["spectrum"]["keep"], "spectrum.keep", 1)
-    _require_int(cfg["fidelity"]["n_states"], "fidelity.n_states", 1)
-    relax = cfg["relax"]
-    for key in ("dt", "t_end_over_rate"):
-        if not (_is_finite(relax[key]) and relax[key] > 0):
-            raise ConfigError(f"relax.{key} must be a finite number > 0")
-    _require_int(relax["stride"], "relax.stride", 1)
-    _require_numbers(relax["beta_grid"], "relax.beta_grid")
-    for block in ("drive", "spectroscopy"):
-        if cfg[block]["pump_amps"] is not None:
-            _require_numbers(cfg[block]["pump_amps"], f"{block}.pump_amps")
-    _require_numbers(cfg["spectroscopy"]["baselines"], "spectroscopy.baselines")
-    _require_int(cfg["spectroscopy"]["grid_points"], "spectroscopy.grid_points", 1)
-    span = cfg["spectroscopy"]["span"]
-    if not (isinstance(span, list) and len(span) == 2 and all(_is_finite(v) for v in span)):
-        raise ConfigError("spectroscopy.span must be a list of two finite numbers")
-    grid = cfg["fidelity"]["grid"]
-    if not (isinstance(grid, list) and grid and all(
-        isinstance(point, dict) and set(point) == {"omega0", "beta"} and all(map(_is_finite, point.values()))
-        for point in grid
-    )):
-        raise ConfigError("fidelity.grid must be a non-empty list of {omega0, beta} tables of finite numbers")
-    # kept as a key so that configs and their digests stay valid; spectrum reports exact-overlap energies
-    if cfg["spectrum"]["energy_mode"] != "exact_overlap":
-        raise ConfigError("spectrum.energy_mode must be 'exact_overlap', the only energies spectrum reports")
-    return cfg
-
-
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _require_int(value, name: str, minimum: int):
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}")
-
-
-def _require_numbers(value, name: str):
-    # an empty list would run nothing and write a header-only table
-    if not isinstance(value, list) or not value or not all(_is_finite(v) for v in value):
-        raise ConfigError(f"{name} must be a non-empty list of finite numbers")
+    """Check ``raw``, with the ``--n-cut``/``--n-levels`` overrides merged in, against ``_SCHEMA``."""
+    flags = {key: value for key, value in overrides.items() if value is not None}
+    return _resolve(_SCHEMA, {**raw, **flags} if isinstance(raw, dict) else raw, "")
 
 
 def config_digest(cfg: dict) -> str:
@@ -196,13 +191,7 @@ def _build_rates(cfg: dict) -> RateFunctions:
     rc = cfg["rates"]
 
     def table_fn(table):
-        pts = np.asarray(table, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ConfigError("rate tables must be [[frequency, rate], ...] pairs")
-        order = np.argsort(pts[:, 0])
-        freqs, vals = pts[order, 0], pts[order, 1]
-        if np.any(vals < 0):
-            raise ConfigError("tabulated rates must be >= 0")
+        freqs, vals = np.asarray(sorted(table), dtype=float).T
         return lambda w: float(np.interp(w, freqs, vals))
 
     big_gamma = table_fn(rc["Gamma_table"]) if rc["Gamma_table"] else float(rc["Gamma"])
@@ -339,13 +328,26 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
     rates = _build_rates(cfg)
     block = cfg["relax"]
     digest = config_digest(cfg)
+    rate_scale = max(rates.oscillator_rate(p.omega), rates.qubit_rate(p.omega0))
+    if rate_scale == 0:
+        # checked here, not in the schema, because a rate table may vanish at these frequencies
+        raise ConfigError(f"relax needs Gamma({p.omega}) or gamma({p.omega0}) > 0: its horizon is in 1/rate")
+    t_end = block["t_end_over_rate"] / rate_scale
+
+    # computed before either table is written, so that a beta the basis rejects writes neither
+    dist_rows = []
+    for beta in block["beta_grid"]:
+        pb = RabiParams(p.omega, p.omega0, float(beta))
+        bb = build_basis(pb, 1, dims)
+        g0 = np.zeros(dims.total_dim, dtype=complex)
+        g0[dims.n_cut] = 1.0  # |g> (x) |0>
+        d = 1.0 - abs(np.vdot(bb.state(0, "-"), g0))
+        dist_rows.append([beta, d, 1.0 - np.exp(-beta**2 / 2.0), beta**2 / 2.0])
 
     basis = build_basis(p, cfg["n_levels"], dims, energy_mode="truncated")
     dme = zero_temperature_dme(basis, rates)
     # the basis lets evolve read <Psi_0^-| rho |Psi_0^-> of the full-space states as "ground"
     sme = replace(standard_master_equation(p, rates, dims), basis=basis)
-    rate_scale = max(rates.oscillator_rate(p.omega), rates.qubit_rate(p.omega0))
-    t_end = block["t_end_over_rate"] / rate_scale
 
     # dressed ground state under the dressed generator: stays put
     rho_dme = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
@@ -371,15 +373,6 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
         digest,
         notes=["fidelity = <Psi_0^-| rho |Psi_0^->"],
     )
-
-    dist_rows = []
-    for beta in block["beta_grid"]:
-        pb = RabiParams(p.omega, p.omega0, float(beta))
-        bb = build_basis(pb, 1, dims)
-        g0 = np.zeros(dims.total_dim, dtype=complex)
-        g0[dims.n_cut] = 1.0  # |g> (x) |0>
-        d = 1.0 - abs(np.vdot(bb.state(0, "-"), g0))
-        dist_rows.append([beta, d, 1.0 - np.exp(-beta**2 / 2.0), beta**2 / 2.0])
     write_csv(
         out / "relax_distance.csv",
         ["beta", "distance", "one_minus_exp", "beta_sq_over_2"],
@@ -410,13 +403,16 @@ def cmd_drive(cfg: dict, out: Path) -> dict:
         pump_amps = [gamma / 2.0]
     detuning = float(cfg["drive"]["detuning"])
     pump_freq = basis.omega_minus - detuning
+    denominator = 1j * gamma / 2.0 - detuning  # the predicted coherent amplitude is Omega_p / denominator
+    if denominator == 0 and any(pump_amps):
+        raise ConfigError(f"a resonant pump needs Gamma(omega_-={basis.omega_minus}) > 0 for a steady state")
 
     rows = []
     for amp in pump_amps:
         me = driven_rotating_dme(basis, rates, float(amp), pump_freq)
         ss = steady_state_nullspace(me)
         obs = observables(ss.rho, basis)
-        alpha = amp / (1j * gamma / 2.0 - detuning)
+        alpha = amp / denominator if denominator else 0j  # only unpumped points get here: the vacuum
         ket = coherent_dressed_ket(basis, alpha, "-")
         fid = float(np.real(ket.conj() @ ss.rho @ ket))
         rows.append([

@@ -122,6 +122,7 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     6 ms at ``n_levels=12``).  Per-point numeric failures are recorded and the
     scan continues.
     """
+    resonances = predicted_resonances(cfg.params, cfg.n_levels)  # refuses beta = 0 before any solve
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
     pump_freq = basis.omega_minus
 
@@ -155,7 +156,7 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
         n_ss=n_ss,
         percent_reduction=reduction,
         baseline_n_ss=float(baseline),
-        predicted_resonances=predicted_resonances(cfg.params, cfg.n_levels),
+        predicted_resonances=resonances,
         failures=failures,
         metadata={
             "pump_freq": pump_freq,

@@ -78,6 +78,21 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("fidelity", {"fidelity": {"grid": [{"omega0": 0.1, "beta": 0.1, "n_cut": 20}]}}, []),
         ("fidelity", {"fidelity": {"grid": [{"omega0": 0.1, "beta": float("inf")}]}}, []),
         ("fidelity", {"fidelity": {"grid": [[0.1, 0.1]]}}, []),
+        ("validate", {"params": {"beta": "0.1"}}, []),
+        ("validate", {"rates": {"Gamma": "0.001"}}, []),
+        ("validate", {"rates": {"temperature": "0.5"}}, []),
+        ("validate", {"check_truncation": "no"}, []),
+        ("validate", {"params": {"omega0": float("nan")}}, []),
+        ("validate", {"params": {"beta": float("inf")}}, []),
+        ("spectrum", {"params": {"beta": float("nan")}}, []),
+        ("spectrum", {"rates": {"Gamma": float("nan")}}, []),
+        ("spectrum", {"rates": {"Gamma": -1}}, []),
+        ("fidelity", {"rates": {"Gamma_table": [[0.9, 0.001], [1.1, float("nan")]]}}, []),
+        ("validate", {"spectroscopy": {"t_start": "x"}}, []),
+        ("relax", {"rates": {"Gamma": 0.0, "gamma": 0.0}}, []),
+        ("drive", {"rates": {"Gamma": 0.0}, "drive": {"pump_amps": [0.001]}}, []),
+        ("relax", {"rates": {"Gamma": 0.1, "gamma": 0.1}, "n_cut": 12, "n_levels": 3,
+                   "relax": {"beta_grid": [-1.0]}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
@@ -313,6 +328,14 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     code = main(["drive", "--config", cfg_path, "--out", str(tmp_path / "boom")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_readme_example_config_resolves():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = resolve_config(example, {})
+    assert cfg["rates"] == {**example["rates"], "Gamma_table": None, "gamma_table": None}
+    assert cfg["spectroscopy"]["solver"] == "corotating"
 
 
 def test_digest_is_stable():

@@ -6,16 +6,28 @@ pumped dressed generator with a probe tone for the harmonic time average.  The
 profile is derandomized, so each run checks the same examples, and the whole
 module stays within a few seconds.  The sparse Liouvillian is compared with
 the dense kron reference of ``dense_reference``.
+
+The CLI's config schema is fuzzed from its own table, ``cli._SCHEMA``: one or
+two keys of a tiny config get a wrong type, a non-finite number, zero, a
+negative value, an empty list, or a missing or extra nested key, and
+``validate``, ``drive`` or ``relax`` must either reject the config before
+writing a table (exit 2) or run to finite tables.
 """
 
+import contextlib
+import io
+import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dressedrabi import cli
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _reachable_block,
@@ -195,3 +207,90 @@ def test_timeaveraged_state_across_the_window(dressed, big, small, gamma_f, data
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert max_abs(rho - rho.conj().T) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+# ---------------------------------------------------------------------------
+# the CLI's config schema, fuzzed from its own table
+
+# Tiny sizes that no mutation enlarges: every bad value of a size is rejected,
+# a key is dropped only where its default equals its value here, and
+# Gamma = gamma, so that zeroing one rate keeps the relax horizon.
+CLI_BASE = cli.resolve_config({
+    "rates": {"Gamma": 0.1, "gamma": 0.1},
+    "n_cut": 10,
+    "n_levels": 2,
+    "relax": {"t_end_over_rate": 0.5, "dt": 0.1, "stride": 1, "beta_grid": [0.1]},
+    "drive": {"pump_amps": [0.05]},
+}, {})
+MISSING = object()
+
+
+def _bad_values(value) -> list:
+    """A wrong type, non-finite numbers, zero and a negative value in place of ``value``."""
+    if isinstance(value, bool):
+        return [0, 1, "false"]
+    if isinstance(value, str):
+        return [0, False]
+    if isinstance(value, list):
+        return [[], str(value)]
+    return [str(value), True, math.nan, math.inf, -math.inf, 0, -1]
+
+
+def _mutations(schema: dict, cfg: dict, path: tuple = ()) -> list:
+    """(path, value) pairs; MISSING drops a key, and only where its default is its value in ``cfg``."""
+    out = [(path + ("extra",), 0)]
+    for key, entry in schema.items():
+        if isinstance(entry, dict):
+            out += _mutations(entry, cfg[key], path + (key,))
+            continue
+        value = cfg[key]
+        out += [(path + (key,), bad) for bad in _bad_values(value)]
+        if value == entry[0]:
+            out.append((path + (key,), MISSING))
+        for i, item in enumerate(value if isinstance(value, list) else []):
+            if isinstance(item, dict):  # a fidelity.grid point
+                out += [(path + (key, i, "extra"), 0)] + [(path + (key, i, name), MISSING) for name in item]
+            else:
+                out += [(path + (key, i), bad) for bad in _bad_values(item)]
+    return out
+
+
+CLI_MUTATIONS = _mutations(cli._SCHEMA, CLI_BASE)
+
+
+def _csv_cells(out) -> list[str]:
+    cells = []
+    for table in out.glob("*.csv"):
+        rows = [line for line in table.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        cells += [cell for row in rows[1:] for cell in row.split(",")]  # rows[0] is the header
+    return cells
+
+
+@settings(PROFILE, max_examples=200)
+@given(st.sampled_from(["validate", "drive", "relax"]),
+       st.lists(st.sampled_from(CLI_MUTATIONS), min_size=1, max_size=2))
+def test_cli_config_mutations_fail_early_or_run_clean(command, mutations):
+    cfg = json.loads(json.dumps(CLI_BASE))
+    # the longest paths first, so that a list element is mutated before its list is replaced
+    for path, value in sorted(mutations, key=lambda m: -len(m[0])):
+        table = cfg
+        for key in path[:-1]:
+            table = table[key]
+        if value is MISSING:
+            table.pop(path[-1], None)
+        else:
+            table[path[-1]] = value
+    with tempfile.TemporaryDirectory() as scratch:
+        config, out = Path(scratch) / "config.json", Path(scratch) / "out"
+        config.write_text(json.dumps(cfg), encoding="utf-8")
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", str(config), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert not list(out.glob("*.csv"))  # rejected before any table
+        if code == 0:
+            assert all(math.isfinite(float(cell)) for cell in _csv_cells(out))
+            # the sidecars may hold an infinite margin (no rates at all), never a NaN
+            assert not any("NaN" in sidecar.read_text(encoding="utf-8") for sidecar in out.glob("*.json"))

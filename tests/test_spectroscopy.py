@@ -36,6 +36,18 @@ def test_predicted_resonances():
         predicted_resonances(RabiParams(1.0, 0.3, 0.0), 3)
 
 
+def test_run_scan_refuses_zero_coupling_before_any_solve(monkeypatch):
+    # the resonances are undefined at beta = 0; the scan says so before it solves anything
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a steady state before refusing beta = 0")
+
+    monkeypatch.setattr(spectroscopy, "steady_state_nullspace", no_solve)
+    cfg = SpectroscopyConfig(params=RabiParams(1.0, 0.3, 0.0), rates=fig3_rates(), pump_amp=1e-3,
+                             spec_amp=1e-4, omega_s_grid=[0.28, 0.3], n_levels=4)
+    with pytest.raises(ValueError, match="beta = 0"):
+        run_scan(cfg)
+
+
 def test_dissipated_power():
     assert dissipated_power(0.0, 1.0, 0.1) == 0.0
     assert dissipated_power(2.0, 1.0, 0.1) == 2 * dissipated_power(1.0, 1.0, 0.1)
