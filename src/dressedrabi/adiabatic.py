@@ -53,14 +53,20 @@ def displaced_overlap(n: int, beta: float) -> float:
     return math.exp(-2.0 * beta * beta) * laguerre(n, 4.0 * beta * beta)
 
 
+def _ladder_bound(beta: float, fraction: float) -> int | None:
+    """floor(fraction / (2 beta)^2) rungs, or None (no bound) when that quotient is not finite.
+
+    beta = 0 has no bound, and neither has a beta so small that (2 beta)^2
+    underflows to 0 or the quotient overflows (|beta| below a few times 1e-155).
+    """
+    square = (2.0 * beta) ** 2
+    bound = fraction / square if square else math.inf
+    return int(math.floor(bound + 1e-9)) if math.isfinite(bound) else None
+
+
 def n_levels_cap(beta: float) -> tuple[int | None, int | None]:
-    """(hard cap, warning threshold) on retained rungs from N << 1/(2 beta)^2."""
-    if beta * beta == 0.0:  # beta = 0, or so small that beta^2 underflows
-        return None, None
-    return (
-        int(math.floor(0.25 / (2 * beta * beta) + 1e-9)),
-        int(math.floor(0.1 / (2 * beta * beta) + 1e-9)),
-    )
+    """(hard cap 1/(8 beta^2), warning threshold 1/(20 beta^2)) on retained rungs from N << 1/(2 beta)^2."""
+    return _ladder_bound(beta, 0.5), _ladder_bound(beta, 0.2)
 
 
 @dataclass
@@ -276,10 +282,7 @@ def validity_report(
     if not beta_ok:
         notes.append(f"|beta|={abs(p.beta)} exceeds the O(beta^4) bound {MAX_COUPLING}")
 
-    if p.beta != 0.0:
-        n_max = int(math.floor(1.0 / (2.0 * p.beta) ** 2 + 1e-9))
-    else:
-        n_max = None
+    n_max = _ladder_bound(p.beta, 1.0)
     cap, warn_above = n_levels_cap(p.beta)
     n_ok = cap is None or n_levels <= cap
     if warn_above is not None and n_levels > warn_above:

@@ -17,6 +17,7 @@ import copy
 import ctypes
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -233,25 +234,25 @@ def write_csv(path: Path, columns: list[str], rows: list[list], digest: str, not
 
 
 def _jsonable(obj):
+    """Plain JSON values; a non-finite float becomes null, as ``JSON.stringify`` writes it."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
+def write_json(path: Path, obj):
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+
+
 def write_sidecar(path: Path, cfg: dict, digest: str, extra: dict):
-    payload = {
-        "code_version": __version__,
-        "config_digest": f"sha256:{digest}",
-        "resolved_config": cfg,
-        **_jsonable(extra),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(path, {"code_version": __version__, "config_digest": f"sha256:{digest}",
+                      "resolved_config": cfg, **extra})
 
 
 def _validity_meta(cfg: dict) -> dict:
@@ -260,10 +261,11 @@ def _validity_meta(cfg: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns {"files": {name: content}, "meta": {...}} and writes nothing.
+# A .csv file's content is (columns, rows, notes), validate.json's a dict; main writes them.
 
 
-def cmd_spectrum(cfg: dict, out: Path) -> dict:
+def cmd_spectrum(cfg: dict) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
     n_states = cfg["spectrum"]["keep"]
@@ -275,19 +277,13 @@ def cmd_spectrum(cfg: dict, out: Path) -> dict:
             r.energy_exact, r.energy_adiabatic, r.energy_sw,
             abs(r.energy_exact - r.energy_adiabatic), abs(r.energy_exact - r.energy_sw),
         ])
-    digest = config_digest(cfg)
-    write_csv(
-        out / "spectrum.csv",
-        ["index", "N", "branch", "E_exact", "E_adiabatic", "E_sw", "err_adiabatic", "err_sw"],
-        rows,
-        digest,
-        notes=["energies in units of omega; E_sw includes the dropped dispersive constant"],
-    )
+    table = (["index", "N", "branch", "E_exact", "E_adiabatic", "E_sw", "err_adiabatic", "err_sw"], rows,
+             ["energies in units of omega; E_sw includes the dropped dispersive constant"])
     meta = {"validity": _validity_meta(cfg), "max_err_adiabatic": max(r[6] for r in rows)}
-    return {"files": ["spectrum.csv"], "meta": meta}
+    return {"files": {"spectrum.csv": table}, "meta": meta}
 
 
-def cmd_fidelity(cfg: dict, out: Path) -> dict:
+def cmd_fidelity(cfg: dict) -> dict:
     dims = SpaceDims(cfg["n_cut"])
     n_states = cfg["fidelity"]["n_states"]
     rows = []
@@ -308,33 +304,25 @@ def cmd_fidelity(cfg: dict, out: Path) -> dict:
             "mean_f_adiabatic": comp.mean_f_adiabatic,
             "mean_f_sw": comp.mean_f_sw,
         })
-    digest = config_digest(cfg)
-    write_csv(
-        out / "fidelity.csv",
-        ["omega0", "beta", "index", "N", "branch", "f_adiabatic", "f_sw", "ambiguous"],
-        rows,
-        digest,
-    )
-    return {"files": ["fidelity.csv"], "meta": {"summaries": summaries, "validity": _validity_meta(cfg)}}
+    table = (["omega0", "beta", "index", "N", "branch", "f_adiabatic", "f_sw", "ambiguous"], rows, [])
+    return {"files": {"fidelity.csv": table}, "meta": {"summaries": summaries, "validity": _validity_meta(cfg)}}
 
 
 # the per-generator propagation record of the relax sidecar
 _PROPAGATION_KEYS = ("method", "block_dim", "dropped_weight", "steps", "max_trace_drift", "min_eigenvalue")
 
 
-def cmd_relax(cfg: dict, out: Path) -> dict:
+def cmd_relax(cfg: dict) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
     rates = _build_rates(cfg)
     block = cfg["relax"]
-    digest = config_digest(cfg)
     rate_scale = max(rates.oscillator_rate(p.omega), rates.qubit_rate(p.omega0))
     if rate_scale == 0:
         # checked here, not in the schema, because a rate table may vanish at these frequencies
         raise ConfigError(f"relax needs Gamma({p.omega}) or gamma({p.omega0}) > 0: its horizon is in 1/rate")
     t_end = block["t_end_over_rate"] / rate_scale
 
-    # computed before either table is written, so that a beta the basis rejects writes neither
     dist_rows = []
     for beta in block["beta_grid"]:
         pb = RabiParams(p.omega, p.omega0, float(beta))
@@ -366,20 +354,12 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
         [traj_dme.times[i], fid_dme[i], fid_sme[i]]
         for i in range(n)
     ]
-    write_csv(
-        out / "relax.csv",
-        ["time", "fidelity_dme_from_dressed_ground", "fidelity_sme_from_exact_ground"],
-        rows,
-        digest,
-        notes=["fidelity = <Psi_0^-| rho |Psi_0^->"],
-    )
-    write_csv(
-        out / "relax_distance.csv",
-        ["beta", "distance", "one_minus_exp", "beta_sq_over_2"],
-        dist_rows,
-        digest,
-        notes=["distance d = 1 - |<Psi_0^-|g,0>| between the two putative ground states"],
-    )
+    files = {
+        "relax.csv": (["time", "fidelity_dme_from_dressed_ground", "fidelity_sme_from_exact_ground"], rows,
+                      ["fidelity = <Psi_0^-| rho |Psi_0^->"]),
+        "relax_distance.csv": (["beta", "distance", "one_minus_exp", "beta_sq_over_2"], dist_rows,
+                               ["distance d = 1 - |<Psi_0^-|g,0>| between the two putative ground states"]),
+    }
     meta = {
         "validity": _validity_meta(cfg),
         "dme_final_fidelity": float(fid_dme[-1]),
@@ -389,10 +369,10 @@ def cmd_relax(cfg: dict, out: Path) -> dict:
             for name, traj in (("dme", traj_dme), ("sme", traj_sme))
         },
     }
-    return {"files": ["relax.csv", "relax_distance.csv"], "meta": meta}
+    return {"files": files, "meta": meta}
 
 
-def cmd_drive(cfg: dict, out: Path) -> dict:
+def cmd_drive(cfg: dict) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
     rates = _build_rates(cfg)
@@ -419,18 +399,12 @@ def cmd_drive(cfg: dict, out: Path) -> dict:
             float(amp), detuning, obs["n_minus"], obs["n_plus"], obs["n_total"],
             float(abs(alpha) ** 2), fid, obs["sector_plus"], ss.residual,
         ])
-    digest = config_digest(cfg)
-    write_csv(
-        out / "drive.csv",
-        ["pump_amp", "detuning_minus", "n_minus", "n_plus", "n_total",
-         "predicted_n", "fidelity_coherent", "sector_plus", "residual"],
-        rows,
-        digest,
-    )
-    return {"files": ["drive.csv"], "meta": {"validity": _validity_meta(cfg), "pump_freq": pump_freq}}
+    table = (["pump_amp", "detuning_minus", "n_minus", "n_plus", "n_total",
+              "predicted_n", "fidelity_coherent", "sector_plus", "residual"], rows, [])
+    return {"files": {"drive.csv": table}, "meta": {"validity": _validity_meta(cfg), "pump_freq": pump_freq}}
 
 
-def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
+def cmd_spectroscopy(cfg: dict) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
     rates = _build_rates(cfg)
@@ -462,37 +436,27 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
         warnings.warn(f"spectroscopy keys {ignored} are ignored: no solver has a burn-in, window or step")
     results = pump_family(scan_cfg, pump_amps)
 
-    digest = config_digest(cfg)
-    files = []
+    files = {}
     combined_rows = []
     failures = []
     for result in results:
         label = result.metadata["label_n_ss"]
-        name = f"spectroscopy_scan_n{label:g}.csv"
         rows = []
         norm = 2.0 * p.omega0 * p.beta**2
         for i in range(len(result.omega_s)):
             u = (p.omega0 - result.omega_s[i]) / norm
             rows.append([result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
             combined_rows.append([label, result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
-        write_csv(
-            out / name,
-            ["omega_s", "normalized_detuning", "n_ss", "percent_reduction"],
-            rows,
-            digest,
-            notes=[f"pump_amp={result.metadata['pump_amp']!r} baseline_n_ss={result.baseline_n_ss!r}"],
+        files[f"spectroscopy_scan_n{label:g}.csv"] = (
+            ["omega_s", "normalized_detuning", "n_ss", "percent_reduction"], rows,
+            [f"pump_amp={result.metadata['pump_amp']!r} baseline_n_ss={result.baseline_n_ss!r}"],
         )
-        files.append(name)
         failures.extend(
             {"label": label, "index": i, "error": err} for i, err in result.failures
         )
-    write_csv(
-        out / "spectroscopy_combined.csv",
-        ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"],
-        combined_rows,
-        digest,
+    files["spectroscopy_combined.csv"] = (
+        ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"], combined_rows, [],
     )
-    files.append("spectroscopy_combined.csv")
     meta = {
         "validity": _validity_meta(cfg),
         "failures": failures,
@@ -504,7 +468,7 @@ def cmd_spectroscopy(cfg: dict, out: Path) -> dict:
     return {"files": files, "meta": meta}
 
 
-def cmd_validate(cfg: dict, out: Path) -> dict:
+def cmd_validate(cfg: dict) -> dict:
     p = _params(cfg)
     rates = _build_rates(cfg)
     rep = validity_report(p, cfg["n_levels"], rates)
@@ -516,13 +480,9 @@ def cmd_validate(cfg: dict, out: Path) -> dict:
     ]
     for note in rep.warnings:
         lines.append(f"note: {note}")
-    text = "\n".join(lines)
-    print(text)
-    (out / "validate.json").write_text(
-        json.dumps(_jsonable({"report": asdict(rep), "resolved_config": cfg}), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return {"files": ["validate.json"], "meta": {"report": asdict(rep)}}
+    print("\n".join(lines))
+    report = asdict(rep)
+    return {"files": {"validate.json": {"report": report, "resolved_config": cfg}}, "meta": {"report": report}}
 
 
 _COMMANDS = {
@@ -535,41 +495,16 @@ _COMMANDS = {
 }
 
 
-def _read_table(path: Path) -> list[list]:
-    rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split(","))
-    return rows[1:]  # drop the header
-
-
-def truncation_shift(command: str, cfg: dict, out: Path, files: list[str]) -> float:
-    """Re-run the experiment at n_cut + 10 and report the largest table shift.
-
-    The repeat runs into a scratch directory; every numeric cell of every
-    emitted table is compared and the maximum absolute difference returned.
-    """
-    import tempfile
-
-    bigger = json.loads(json.dumps(cfg))
-    bigger["n_cut"] = cfg["n_cut"] + 10
-    bigger["check_truncation"] = False
+def truncation_shift(command: str, cfg: dict, files: dict) -> float:
+    """Re-run the experiment at n_cut + 10 and return the largest shift of a number in its CSV tables."""
+    bigger = _COMMANDS[command]({**cfg, "n_cut": cfg["n_cut"] + 10})["files"]
     shift = 0.0
-    with tempfile.TemporaryDirectory() as scratch:
-        scratch_dir = Path(scratch)
-        _COMMANDS[command](bigger, scratch_dir)
-        for name in files:
-            if not name.endswith(".csv"):
-                continue
-            base_rows = _read_table(out / name)
-            big_rows = _read_table(scratch_dir / name)
-            for row_a, row_b in zip(base_rows, big_rows):
+    for name, content in files.items():
+        if name.endswith(".csv"):
+            for row_a, row_b in zip(content[1], bigger[name][1]):
                 for cell_a, cell_b in zip(row_a, row_b):
-                    try:
-                        shift = max(shift, abs(float(cell_a) - float(cell_b)))
-                    except ValueError:
-                        continue
+                    if not isinstance(cell_a, str):
+                        shift = max(shift, abs(cell_a - cell_b))
     return shift
 
 
@@ -618,27 +553,36 @@ def _one_blas_thread():
 
 
 def main(argv=None) -> int:
+    """Run one command, then write its tables and sidecar: a failed run writes no file."""
     args = build_parser().parse_args(argv)
     with _one_blas_thread():
         try:
             cfg = resolve_config(load_config(args.config), {"n_cut": args.n_cut, "n_levels": args.n_levels})
             out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create the output directory {out}: {exc}") from exc
             started = time.perf_counter()
-            result = _COMMANDS[args.command](cfg, out)
+            result = _COMMANDS[args.command](cfg)
+            files, meta = result["files"], result["meta"]
             if cfg["check_truncation"] and args.command != "validate":
-                result["meta"]["truncation_shift"] = truncation_shift(
-                    args.command, cfg, out, result["files"]
-                )
-            wall = time.perf_counter() - started
+                meta["truncation_shift"] = truncation_shift(args.command, cfg, files)
             digest = config_digest(cfg)
+            for name, content in files.items():
+                if name.endswith(".csv"):
+                    columns, rows, notes = content
+                    write_csv(out / name, columns, rows, digest, notes)
+                else:
+                    write_json(out / name, content)
+            wall = time.perf_counter() - started
             write_sidecar(
                 out / f"{args.command}.meta.json",
                 cfg,
                 digest,
-                {"command": args.command, "wall_time_s": wall, **result["meta"], "files": result["files"]},
+                {"command": args.command, "wall_time_s": wall, **meta, "files": list(files)},
             )
-            print(f"{args.command}: wrote {', '.join(result['files'])} (wall {wall:.2f}s)")
+            print(f"{args.command}: wrote {', '.join(files)} (wall {wall:.2f}s)")
             return 0
         except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)

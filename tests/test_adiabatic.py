@@ -33,8 +33,10 @@ def test_n_levels_cap():
     cap, warn = n_levels_cap(0.1)
     assert (cap, warn) == (12, 5)
     assert n_levels_cap(0.0) == (None, None)
-    # beta^2 underflows to zero: no cap, not a ZeroDivisionError
-    assert n_levels_cap(1e-200) == (None, None)
+    # no bound, not an OverflowError or a ZeroDivisionError: at 1e-160 the quotient
+    # overflows to inf, at 1e-170 and 1e-200 (2 beta)^2 underflows to 0
+    for beta in (1e-160, 1e-170, 1e-200):
+        assert n_levels_cap(beta) == (None, None)
 
 
 def test_build_basis_decoupled(dims40):
@@ -234,6 +236,8 @@ def test_validity_report():
     rep = validity_report(RabiParams(1.0, 0.3, 0.1), 5, rates)
     assert rep.quasi_degenerate and abs(rep.qubit_margin) < 1e-12
     assert rep.beta_ok and rep.n_max == 25
+    for beta in (1e-160, 1e-170):
+        assert validity_report(RabiParams(1.0, 0.3, beta), 12, rates).n_max is None
     assert rep.secular_ok is True and rep.secular_margin == pytest.approx(20 / 3, rel=1e-6)
 
     rep = validity_report(RabiParams(1.0, 0.3, 0.25), 5, rates)

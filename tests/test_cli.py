@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dressedrabi import cli
 from dressedrabi.cli import ConfigError, config_digest, load_config, main, resolve_config
+from dressedrabi.dynamics import NumericsError
 
 
 def write_config(tmp_path: Path, payload: dict) -> str:
@@ -100,8 +102,50 @@ def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
     code = main([command, "--config", cfg, "--out", str(tmp_path / "bad"), *flags])
     assert code == 2
     assert "config error" in capsys.readouterr().err
-    # rejected before any table is written
-    assert not list(tmp_path.glob("bad/*.csv"))
+    # rejected before any file is written
+    assert not list(tmp_path.glob("bad/*"))
+
+
+def test_unusable_out_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    assert main(["validate", "--out", str(taken)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_a_failed_run_writes_no_file(tmp_path, monkeypatch, capsys):
+    # the command has computed its table when the validity report fails
+    def fail(*args, **kwargs):
+        raise NumericsError("probe")
+
+    monkeypatch.setattr(cli, "validity_report", fail)
+    cfg = write_config(tmp_path, {**BASE, "n_cut": 12, "n_levels": 3, "spectrum": {"keep": 4}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "failed")]) == 3
+    assert "numeric failure: probe" in capsys.readouterr().err
+    assert (tmp_path / "failed").is_dir() and not list((tmp_path / "failed").iterdir())
+
+
+@pytest.mark.parametrize("beta", [1e-160, 1e-170])
+def test_tiny_beta_runs_without_a_ladder_bound(tmp_path, beta):
+    cfg = write_config(tmp_path, {**BASE, "params": {"omega": 1.0, "omega0": 0.3, "beta": beta}, "n_cut": 6,
+                                  "n_levels": 2, "fidelity": {"n_states": 2, "grid": [{"omega0": 0.3, "beta": beta}]}})
+    for command in ("validate", "fidelity"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+    assert json.loads((tmp_path / "validate" / "validate.json").read_text())["report"]["n_max"] is None
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_outputs_are_strict_json(tmp_path):
+    # no rates: the secular margin is infinite, which JSON writes as null
+    cfg = write_config(tmp_path, {**BASE, "rates": {"Gamma": 0.0, "gamma": 0.0}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
+    for name in ("validate.json", "validate.meta.json"):
+        text = (tmp_path / "zero" / name).read_text(encoding="utf-8")
+        assert json.loads(text, parse_constant=_reject_constant)["report"]["secular_margin"] is None
 
 
 def test_spectrum_energy_mode_is_exact_overlap_only(tmp_path, capsys):

@@ -105,11 +105,11 @@ record["imported"] = counts()
 record["runs"] = []
 for error in (None, cli.ConfigError("probe"), cli.NumericsError("probe")):
     seen = []
-    def command(cfg, out, error=error):
+    def command(cfg, error=error):
         seen.append(counts())
         if error is not None:
             raise error
-        return {"files": [], "meta": {}}
+        return {"files": {}, "meta": {}}
     cli._COMMANDS["validate"] = command
     code = cli.main(["validate", "--out", tempfile.mkdtemp()])
     record["runs"].append({"code": code, "during": seen[0], "after": counts()})

@@ -258,6 +258,10 @@ def _mutations(schema: dict, cfg: dict, path: tuple = ()) -> list:
 CLI_MUTATIONS = _mutations(cli._SCHEMA, CLI_BASE)
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _csv_cells(out) -> list[str]:
     cells = []
     for table in out.glob("*.csv"):
@@ -288,9 +292,9 @@ def test_cli_config_mutations_fail_early_or_run_clean(command, mutations):
             warnings.simplefilter("ignore")
             code = cli.main([command, "--config", str(config), "--out", str(out)])
         assert code in (0, 2, 3)
-        if code == 2:
-            assert not list(out.glob("*.csv"))  # rejected before any table
+        if code != 0:
+            assert not list(out.glob("*"))  # a failed run writes no file
         if code == 0:
             assert all(math.isfinite(float(cell)) for cell in _csv_cells(out))
-            # the sidecars may hold an infinite margin (no rates at all), never a NaN
-            assert not any("NaN" in sidecar.read_text(encoding="utf-8") for sidecar in out.glob("*.json"))
+            for sidecar in out.glob("*.json"):  # strict JSON: no NaN or Infinity
+                json.loads(sidecar.read_text(encoding="utf-8"), parse_constant=_reject_constant)
