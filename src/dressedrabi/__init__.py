@@ -21,7 +21,6 @@ from .adiabatic import (
 from .schrieffer_wolff import (
     fidelity_comparison,
     sw_eigensystem,
-    sw_energies,
     sw_generator,
     sw_hamiltonian,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "displaced_overlap",
     "validity_report",
     "sw_hamiltonian",
-    "sw_energies",
     "sw_generator",
     "sw_eigensystem",
     "fidelity_comparison",

@@ -253,21 +253,18 @@ class ValidityReport:
     beta_margin: float
     n_max: int | None
     n_levels_ok: bool
-    secular_ok: bool | None
-    secular_margin: float | None
+    secular_ok: bool
+    secular_margin: float
     warnings: list[str] = field(default_factory=list)
 
 
-def validity_report(
-    p: RabiParams,
-    n_levels: int,
-    rates=None,
-) -> ValidityReport:
-    """Evaluate the regime constraints and, when rates are given, the secular margin.
+def validity_report(p: RabiParams, n_levels: int, rates) -> ValidityReport:
+    """Evaluate the regime constraints and the secular margin of ``rates``.
 
-    The secular margin compares the largest supplied relaxation rate against
-    the smallest difference between distinct dressed transition frequencies
-    (the spacing that protects the dissipator from cross-terms).
+    The secular margin compares the largest relaxation rate against the
+    smallest difference between distinct dressed transition frequencies (the
+    spacing that protects the dissipator from cross-terms); it is infinite
+    when either vanishes.
     """
     notes: list[str] = []
     quasi = p.quasi_degenerate
@@ -288,30 +285,27 @@ def validity_report(
     if warn_above is not None and n_levels > warn_above:
         notes.append(f"n_levels={n_levels} above the comfortable bound {warn_above}")
 
-    secular_ok = None
-    secular_margin = None
-    if rates is not None:
-        omega_tilde = p.omega_tilde(max(n_levels, 1))
-        freqs = np.concatenate([[p.omega_plus, p.omega_minus], omega_tilde])
-        diffs = np.abs(freqs[:, None] - freqs[None, :])
-        distinct = diffs[diffs > 1e-15]
-        min_spacing = float(distinct.min()) if distinct.size else 0.0
-        evaluated = [rates.oscillator_rate(f) for f in freqs] + [
-            rates.qubit_rate(f) for f in omega_tilde
-        ]
-        max_rate = max([*evaluated, rates.gamma_f])
-        if max_rate > 0 and min_spacing > 0:
-            secular_margin = min_spacing / max_rate
-            # "much bigger" taken as a few times over; diagnostic only
-            secular_ok = secular_margin >= 3.0
-            if not secular_ok:
-                notes.append(
-                    f"secular margin {secular_margin:.3g} < 3: rates are not small "
-                    "against the dressed frequency spacings"
-                )
-        else:
-            secular_ok = True
-            secular_margin = math.inf
+    omega_tilde = p.omega_tilde(max(n_levels, 1))
+    freqs = np.concatenate([[p.omega_plus, p.omega_minus], omega_tilde])
+    diffs = np.abs(freqs[:, None] - freqs[None, :])
+    distinct = diffs[diffs > 1e-15]
+    min_spacing = float(distinct.min()) if distinct.size else 0.0
+    evaluated = [rates.oscillator_rate(f) for f in freqs] + [
+        rates.qubit_rate(f) for f in omega_tilde
+    ]
+    max_rate = max([*evaluated, rates.gamma_f])
+    if max_rate > 0 and min_spacing > 0:
+        secular_margin = min_spacing / max_rate
+        # "much bigger" taken as a few times over; diagnostic only
+        secular_ok = secular_margin >= 3.0
+        if not secular_ok:
+            notes.append(
+                f"secular margin {secular_margin:.3g} < 3: rates are not small "
+                "against the dressed frequency spacings"
+            )
+    else:
+        secular_ok = True
+        secular_margin = math.inf
 
     return ValidityReport(
         quasi_degenerate=quasi,

@@ -47,7 +47,7 @@ from .lindblad import (
 )
 from .rabi import RabiParams, ground_state
 from .schrieffer_wolff import fidelity_comparison
-from .spectroscopy import SpectroscopyConfig, default_scan_grid, pump_family
+from .spectroscopy import SpectroscopyConfig, default_scan_grid, pump_family, pump_label
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config"]
 
@@ -98,6 +98,8 @@ _RATE_PAIR = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and _is_finite(
                    "a [frequency, rate >= 0] pair")
 _SPAN = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)),
               "a list of two finite numbers")
+_ZERO = _Kind(lambda v: _is_finite(v) and v == 0,
+              "0: no command models a finite temperature (the library's finite_temperature_dme does)")
 _GRID_POINT = _Kind(lambda v: isinstance(v, dict) and set(v) == {"omega0", "beta"}
                     and _NONNEGATIVE.check(v["omega0"]) and _is_finite(v["beta"]),
                     "an {omega0 >= 0, beta} table of finite numbers")
@@ -108,7 +110,7 @@ _SCHEMA = {
         "Gamma": (0.00108, _NONNEGATIVE),
         "gamma": (0.000108, _NONNEGATIVE),
         "gamma_f": (0.0, _NONNEGATIVE),
-        "temperature": (0.0, _NONNEGATIVE),
+        "temperature": (0.0, _ZERO),
         "Gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
         "gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
     },
@@ -201,7 +203,6 @@ def _build_rates(cfg: dict) -> RateFunctions:
         Gamma=big_gamma,
         gamma=small_gamma,
         gamma_f=float(rc["gamma_f"]),
-        temperature=float(rc["temperature"]),
     )
 
 
@@ -434,12 +435,16 @@ def cmd_spectroscopy(cfg: dict) -> dict:
     ignored = [key for key in ("t_start", "window", "dt") if sc[key] is not None]
     if ignored:
         warnings.warn(f"spectroscopy keys {ignored} are ignored: no solver has a burn-in, window or step")
+    names = [f"spectroscopy_scan_n{pump_label(scan_cfg, amp):g}.csv" for amp in pump_amps]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"pump amplitudes {pump_amps} would share scan tables {names}: "
+                          "give each pump a distinct label 4 Omega_p^2/Gamma^2 (to 6 significant digits)")
     results = pump_family(scan_cfg, pump_amps)
 
     files = {}
     combined_rows = []
     failures = []
-    for result in results:
+    for name, result in zip(names, results):
         label = result.metadata["label_n_ss"]
         rows = []
         norm = 2.0 * p.omega0 * p.beta**2
@@ -447,7 +452,7 @@ def cmd_spectroscopy(cfg: dict) -> dict:
             u = (p.omega0 - result.omega_s[i]) / norm
             rows.append([result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
             combined_rows.append([label, result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
-        files[f"spectroscopy_scan_n{label:g}.csv"] = (
+        files[name] = (
             ["omega_s", "normalized_detuning", "n_ss", "percent_reduction"], rows,
             [f"pump_amp={result.metadata['pump_amp']!r} baseline_n_ss={result.baseline_n_ss!r}"],
         )

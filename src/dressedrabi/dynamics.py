@@ -173,6 +173,8 @@ def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.
 _CHUNK = 100
 # a sampled state may have eigenvalues down to -_EIG_FLOOR
 _EIG_FLOOR = 1e-7
+# a sampled state's trace may drift from the initial one by _TRACE_TOL
+_TRACE_TOL = 1e-8
 
 
 def evolve(
@@ -184,7 +186,6 @@ def evolve(
     stride: int = 1,
     exact: bool = False,
     store_states: bool = True,
-    trace_tol: float = 1e-8,
 ) -> Trajectory:
     """Integrate d(rho)/dt = L[rho] from 0 to t_end, sampling every ``stride`` steps of ``dt``.
 
@@ -197,7 +198,7 @@ def evolve(
     from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only set the
     sample spacing.  The sub-floor entries of rho0 outside the block are
     dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
-    The trace is never renormalized; trace drift beyond ``trace_tol`` or a
+    The trace is never renormalized; trace drift beyond 1e-8 or a
     sample with an eigenvalue below -1e-7 aborts with a diagnostic.  The
     eigenvalue floor is a Cholesky test of the Hermitian part plus 1e-7 I;
     the eigenvalues themselves are computed only for a sample that fails it
@@ -226,8 +227,8 @@ def evolve(
         nonlocal max_drift, min_eig_seen, final_herm
         drift = abs(float(np.real(np.trace(rho))) - trace0)
         max_drift = max(max_drift, drift)
-        if drift > trace_tol:
-            raise NumericsError(f"trace drift {drift:.3g} exceeds {trace_tol:.3g} at t={t:.6g}")
+        if drift > _TRACE_TOL:
+            raise NumericsError(f"trace drift {drift:.3g} exceeds {_TRACE_TOL:.3g} at t={t:.6g}")
         herm = final_herm = 0.5 * (rho + rho.conj().T)
         try:
             # succeeds iff every eigenvalue of herm exceeds -_EIG_FLOOR, up to a rounding
@@ -338,10 +339,11 @@ def _solve_liouvillian(system, d: int, scale: float):
     and SuperLU solves the result; a singular factor or a residual above
     ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
     with the trace row appended; a non-finite system or splu solution raises
-    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns
-    (rho_0, residual, clipped weight, path): the residual is max|M v - b| of
+    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns a
+    ``"nullspace"`` ``SteadyState`` of rho_0 whose residual is max|M v - b| of
     the folded system with the clipped rho_0 in v, which for a unit-trace
-    rho_0 is max|system v|; path is ``"splu"`` or ``"lstsq"``.
+    rho_0 is max|system v|.  Its ``metadata`` records ``clipped_weight`` and
+    ``solve``, the path that ran: ``"splu"`` or ``"lstsq"``.
     """
     n = system.shape[0]
     rows, cols = np.zeros(d, dtype=int), np.arange(d) * (d + 1)  # row 0, the diagonal of rho_0
@@ -381,7 +383,7 @@ def _solve_liouvillian(system, d: int, scale: float):
                 f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale; "
                 "the generator may have a degenerate steady family"
             )
-    return rho, residual, clipped, path
+    return SteadyState(rho, residual, "nullspace", {"clipped_weight": clipped, "solve": path})
 
 
 def steady_state_nullspace(me: MasterEquation) -> SteadyState:
@@ -392,26 +394,19 @@ def steady_state_nullspace(me: MasterEquation) -> SteadyState:
     eigenvalues at readout (reported, never silently).  ``metadata["solve"]``
     names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
     """
-    rho, residual, clipped, path = _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
-    return SteadyState(
-        rho=rho,
-        residual=residual,
-        method="nullspace",
-        metadata={"clipped_weight": clipped, "solve": path},
-    )
+    return _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
 
 
-def steady_state_longtime(
-    me: MasterEquation,
-    rho0: np.ndarray,
-    dt: float,
-    residual_tol: float = 1e-7,
-) -> SteadyState:
+# the long-time solver stops once max|L rho| is below _LONGTIME_TOL times the generator scale
+_LONGTIME_TOL = 1e-7
+
+
+def steady_state_longtime(me: MasterEquation, rho0: np.ndarray, dt: float) -> SteadyState:
     """Steady state by integrating until the generator residual is negligible.
 
     RK4 runs in blocks of 5 over the slowest relaxation rate and stops once
-    the residual is below ``residual_tol`` times the generator scale, or fails
-    with ``NumericsError`` after 200 over that rate.
+    the residual is below 1e-7 times the generator scale, or fails with
+    ``NumericsError`` after 200 over that rate.
     """
     scale = generator_scale(me)
     rho, _ = _prepare_state(me, rho0)
@@ -424,7 +419,7 @@ def steady_state_longtime(
         rho = traj.states[-1]
         t += block
         residual = float(max_abs(me.rhs(rho)))
-        if residual < residual_tol * scale:
+        if residual < _LONGTIME_TOL * scale:
             rho, clipped = _clip_and_report(rho)
             return SteadyState(
                 rho=rho,
@@ -432,7 +427,7 @@ def steady_state_longtime(
                 method="longtime",
                 metadata={"time": t, "clipped_weight": clipped},
             )
-    raise NumericsError(f"long-time residual did not reach {residual_tol:.1g}*scale by t={limit:.3g}")
+    raise NumericsError(f"long-time residual did not reach {_LONGTIME_TOL:.1g}*scale by t={limit:.3g}")
 
 
 # the harmonic order K rises until rho_0 moves by at most _HARMONIC_TOL (largest entry)
@@ -468,23 +463,18 @@ def steady_state_timeaveraged(me: MasterEquation, tone: np.ndarray, frequency: f
     """
     d, scale, static = me.dim, generator_scale(me), me.liouvillian()
     a = sparse.csc_matrix(tone)
-    rho = None
+    ss = None
     for order in range(2, _MAX_HARMONICS + 1):
-        prev = rho
-        rho, residual, clipped, path = _solve_liouvillian(
-            _harmonic_system(static, a, frequency, order), d, scale
-        )
-        change = math.inf if prev is None else max_abs(rho - prev)
+        prev = ss
+        ss = _solve_liouvillian(_harmonic_system(static, a, frequency, order), d, scale)
+        change = math.inf if prev is None else max_abs(ss.rho - prev.rho)
         if change <= _HARMONIC_TOL:
             break
     else:
         raise NumericsError(f"harmonics not converged at K={order}: rho_0 still moves by {change:.3g}")
-    return SteadyState(
-        rho=rho,
-        residual=residual,
-        method="timeaveraged",
-        metadata={"harmonics": order, "k_change": change, "clipped_weight": clipped, "solve": path},
-    )
+    ss.method = "timeaveraged"
+    ss.metadata.update(harmonics=order, k_change=change)
+    return ss
 
 
 def coherent_dressed_ket(b: DressedBasis, alpha: complex, sector: str) -> np.ndarray:

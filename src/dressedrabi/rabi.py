@@ -189,6 +189,8 @@ def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:
     Each retained eigenvalue is flagged converged only if it moves by less
     than 1e-8 omega when n_cut is raised by 10.
     """
+    if keep > dims.total_dim:
+        raise ValueError(f"keep={keep} exceeds the {dims.total_dim} states of the truncated space, n_cut={dims.n_cut}")
     spec = diagonalize(rabi_hamiltonian(p, dims), keep=keep)
     bigger = SpaceDims(dims.n_cut + 10)
     ref = np.linalg.eigvalsh(rabi_hamiltonian(p, bigger))[:keep]

@@ -21,16 +21,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .adiabatic import build_basis
-from .hilbert import SpaceDims, annihilation, max_abs, qubit_op
+from .hilbert import SpaceDims, annihilation, qubit_op
 from .rabi import RabiParams, exact_spectrum, max_overlap_pairing
 
 __all__ = [
-    "SwEnergies",
     "FidelityRow",
     "FidelityComparison",
     "sw_frequencies",
     "sw_hamiltonian",
-    "sw_energies",
     "sw_generator",
     "sw_dropped_constant",
     "sw_eigensystem",
@@ -64,54 +62,6 @@ def sw_hamiltonian(p: RabiParams, dims: SpaceDims) -> np.ndarray:
     return 0.5 * p.omega0 * sz + p.omega * (a.conj().T @ a) + coeff * sz @ (x @ x)
 
 
-@dataclass
-class SwEnergies:
-    """Closed-form dispersive energy ladder.
-
-    ``closed_form`` is +-omega0/2 + omega_sw_+- (N + 1/2); the eigenvalues of
-    the assembled Hamiltonian equal this minus the bare zero point omega/2
-    (stored in ``zero_point``).  ``quasi_degenerate`` applies
-    omega_sw_+- -> omega -+ 2 omega0 beta^2 and then differs from the
-    harmonic-ladder dressed energies by the constant omega/2 only.
-    """
-
-    n: np.ndarray
-    closed_form_plus: np.ndarray
-    closed_form_minus: np.ndarray
-    omega_sw_plus: float
-    omega_sw_minus: float
-    zero_point: float
-    quasi_degenerate_plus: np.ndarray
-    quasi_degenerate_minus: np.ndarray
-    max_quasi_degenerate_gap: float
-
-
-def sw_energies(p: RabiParams, n_levels: int) -> SwEnergies:
-    """Closed-form dispersive energies and their quasi-degenerate simplification."""
-    wp, wm = sw_frequencies(p)
-    n = np.arange(n_levels)
-    cf_plus = 0.5 * p.omega0 + wp * (n + 0.5)
-    cf_minus = -0.5 * p.omega0 + wm * (n + 0.5)
-    qd_plus = 0.5 * p.omega0 + p.omega_plus * (n + 0.5)
-    qd_minus = -0.5 * p.omega0 + p.omega_minus * (n + 0.5)
-    # harmonic-ladder dressed energies differ from these by a constant; check it
-    dressed_minus, dressed_plus = p.ladder_energies(n_levels)
-    gaps = np.concatenate(
-        [qd_plus - dressed_plus - 0.5 * p.omega, qd_minus - dressed_minus - 0.5 * p.omega]
-    )
-    return SwEnergies(
-        n=n,
-        closed_form_plus=cf_plus,
-        closed_form_minus=cf_minus,
-        omega_sw_plus=wp,
-        omega_sw_minus=wm,
-        zero_point=0.5 * p.omega,
-        quasi_degenerate_plus=qd_plus,
-        quasi_degenerate_minus=qd_minus,
-        max_quasi_degenerate_gap=float(max_abs(gaps)),
-    )
-
-
 def sw_generator(p: RabiParams, dims: SpaceDims) -> np.ndarray:
     """Anti-Hermitian generator S of the dispersive rotation.
 
@@ -124,8 +74,6 @@ def sw_generator(p: RabiParams, dims: SpaceDims) -> np.ndarray:
     the low-lying levels, which tests/test_schrieffer_wolff.py measures.
     """
     _check_regime(p)
-    if p.omega0 == -p.omega:
-        raise ValueError("dispersive transformation is singular at omega0 = -omega")
     a = annihilation(dims)
     ad = a.conj().T
     sp = qubit_op("sigma_plus", dims)
@@ -197,6 +145,9 @@ def fidelity_comparison(
     """
     if n_levels is None:
         n_levels = max(2, (n_states + 1) // 2 + 2)
+    if n_states > 2 * n_levels:
+        # the pairing would leave exact states without a dressed partner
+        raise ValueError(f"n_states={n_states} exceeds the {2 * n_levels} dressed states of n_levels={n_levels}")
     spec = exact_spectrum(p, dims, keep=n_states)
 
     basis = build_basis(p, n_levels, dims, energy_mode="exact_overlap")

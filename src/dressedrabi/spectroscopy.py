@@ -37,6 +37,7 @@ __all__ = [
     "dissipated_power",
     "run_scan",
     "pump_family",
+    "pump_label",
     "local_maxima",
 ]
 
@@ -102,7 +103,7 @@ def _solve_point(cfg, basis, me, op, omega_s) -> float:
     """n_total at one probe frequency, from L(0) + omega_s * ``op`` with the shift B
     (co-rotating) or from the pump-frame ``me`` with the probe tone ``op`` (time-averaged)."""
     if cfg.solver == "corotating":
-        rho, *_ = _solve_liouvillian(me.liouvillian() + omega_s * op, me.dim, generator_scale(me))
+        rho = _solve_liouvillian(me.liouvillian() + omega_s * op, me.dim, generator_scale(me)).rho
     else:
         rho = steady_state_timeaveraged(me, op, omega_s).rho
     return observables(rho, basis)["n_total"]
@@ -175,13 +176,20 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     )
 
 
+def pump_label(cfg: SpectroscopyConfig, amp: float) -> float:
+    """The label of a pump's scan: its no-probe excitation 4 Omega_p^2/Gamma^2, Gamma at omega_-."""
+    gamma = cfg.rates.oscillator_rate(cfg.params.omega_minus)
+    if gamma == 0:
+        raise ValueError(f"a pump's label 4 Omega_p^2/Gamma^2 needs Gamma(omega_-={cfg.params.omega_minus}) > 0")
+    return 4.0 * amp**2 / gamma**2
+
+
 def pump_family(cfg: SpectroscopyConfig, pump_amps) -> list[ScanResult]:
-    """One scan per pump strength, labeled by the no-probe excitation 4 Omega_p^2/Gamma^2."""
+    """One scan per pump strength, labeled by ``pump_label``."""
     out = []
     for amp in pump_amps:
         result = run_scan(replace(cfg, pump_amp=float(amp)))
-        gamma = cfg.rates.oscillator_rate(result.metadata["pump_freq"])
-        result.metadata["label_n_ss"] = 4.0 * amp**2 / gamma**2
+        result.metadata["label_n_ss"] = pump_label(cfg, amp)
         out.append(result)
     return out
 

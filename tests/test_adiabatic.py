@@ -243,5 +243,5 @@ def test_validity_report():
     rep = validity_report(RabiParams(1.0, 0.3, 0.25), 5, rates)
     assert not rep.beta_ok
 
-    rep = validity_report(RabiParams(1.0, 0.0, 0.1), 5)
+    rep = validity_report(RabiParams(1.0, 0.0, 0.1), 5, rates)
     assert any("degenerate" in w for w in rep.warnings)

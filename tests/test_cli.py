@@ -95,6 +95,14 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("drive", {"rates": {"Gamma": 0.0}, "drive": {"pump_amps": [0.001]}}, []),
         ("relax", {"rates": {"Gamma": 0.1, "gamma": 0.1}, "n_cut": 12, "n_levels": 3,
                    "relax": {"beta_grid": [-1.0]}}, []),
+        ("drive", {"rates": {"temperature": 0.5}}, []),
+        ("spectrum", {"spectrum": {"keep": 100}}, []),
+        ("fidelity", {"fidelity": {"n_states": 100}}, []),
+        ("spectrum", {"spectrum": {"keep": 30}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.0], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"pump_amps": [0.001, -0.001], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.000001], "grid_points": 3}}, []),
+        ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"pump_amps": [0.001], "grid_points": 3}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):

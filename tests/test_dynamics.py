@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+from dressedrabi import dynamics
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _CHUNK,
@@ -287,7 +288,7 @@ def test_full_space_initial_state_is_projected(dims40):
     stray[dims40.n_cut - 1] = 1.0
     rho_mix = 0.5 * rho_full + 0.5 * np.outer(stray, stray.conj())
     with pytest.warns(UserWarning):
-        traj = evolve(me, rho_mix, 0.5, 0.05, trace_tol=1.0)
+        traj = evolve(me, rho_mix, 0.5, 0.05)
     assert abs(traj.metadata["initial_leakage"] - 0.5) < 1e-6
 
 
@@ -405,7 +406,7 @@ def test_timeaveraged_matches_rk4_average(dims40):
     assert abs(n_harmonic - n_rk4) / n_rk4 < 1e-7
 
 
-def test_dephasing_sets_no_relaxation_time(dims40):
+def test_dephasing_sets_no_relaxation_time(dims40, monkeypatch):
     # the long-time solver's default block is 5 over the slowest relaxation
     # rate, kappa here; the slower dephasing jump (gamma_f < kappa) does not set it
     b = _basis(dims40)
@@ -415,7 +416,8 @@ def test_dephasing_sets_no_relaxation_time(dims40):
     rho0 = np.zeros((12, 12), dtype=complex)
     rho0[0, 0] = 1.0
     # a loose residual tolerance stops after the first block
-    ss = steady_state_longtime(me, rho0, dt=0.1, residual_tol=1.0)
+    monkeypatch.setattr(dynamics, "_LONGTIME_TOL", 1.0)
+    ss = steady_state_longtime(me, rho0, dt=0.1)
     assert ss.metadata["time"] == pytest.approx(5.0 / kappa, rel=1e-12)
 
 

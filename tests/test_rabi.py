@@ -86,6 +86,9 @@ def test_truncation_convergence(dims40):
     spec = exact_spectrum(p, dims40, keep=12)
     assert spec.converged is not None and spec.converged.all()
     assert spec.metadata["truncation_shifts"].max() < 1e-8
+    # more states than the truncated space holds is refused by name, not by a shape mismatch
+    with pytest.raises(ValueError, match="keep=81 exceeds the 80 states"):
+        exact_spectrum(p, dims40, keep=81)
 
 
 def test_parity_symmetry(dims40):

@@ -7,11 +7,16 @@ from dressedrabi.rabi import RabiParams, rabi_hamiltonian
 from dressedrabi.schrieffer_wolff import (
     fidelity_comparison,
     sw_dropped_constant,
-    sw_energies,
     sw_frequencies,
     sw_generator,
     sw_hamiltonian,
 )
+
+
+def sector_ladders(p, wp, wm, n_levels):
+    """+-omega0/2 + w_+- (N + 1/2); at w_+- = sw_frequencies(p) the dispersive closed form."""
+    n = np.arange(n_levels)
+    return 0.5 * p.omega0 + wp * (n + 0.5), -0.5 * p.omega0 + wm * (n + 0.5)
 
 
 def sw_conjugation_residual(p, dims, n_levels):
@@ -36,17 +41,16 @@ def test_decoupled_limit(dims40):
     assert max_abs(sw_generator(p, dims40)) == 0.0
     comp = fidelity_comparison(p, 6, dims40)
     assert all(abs(r.f_adiabatic - 1) < 1e-10 and abs(r.f_sw - 1) < 1e-10 for r in comp.rows)
-    se = sw_energies(p, 4)
-    assert np.allclose(se.closed_form_plus, 0.075 + np.arange(4) + 0.5)
+    closed_plus, _ = sector_ladders(p, *sw_frequencies(p), 4)
+    assert np.allclose(closed_plus, 0.075 + np.arange(4) + 0.5)
 
 
 def test_sector_bogoliubov_eigenvalues(dims40):
     # per sigma_z sector the quadratic form diagonalizes exactly: matrix
     # eigenvalues equal the closed form minus the bare zero point omega/2
     p = RabiParams(1.0, 0.15, 0.1)
-    se = sw_energies(p, 6)
     eig = np.linalg.eigvalsh(sw_hamiltonian(p, dims40))
-    closed = np.sort(np.concatenate([se.closed_form_plus, se.closed_form_minus])) - se.zero_point
+    closed = np.sort(np.concatenate(sector_ladders(p, *sw_frequencies(p), 6))) - 0.5 * p.omega
     assert max_abs(eig[:12] - closed[:12]) < 1e-8
 
 
@@ -56,12 +60,16 @@ def test_quasi_degenerate_frequencies():
     # omega_sw_pm -> omega -+ 2 omega0 beta^2 up to O(omega0^2 beta^2, beta^4)
     assert abs(wp - (1.0 - 2 * p.omega0 * p.beta**2)) < 1e-4
     assert abs(wm - (1.0 + 2 * p.omega0 * p.beta**2)) < 1e-4
-    se = sw_energies(p, 6)
+    closed_plus, _ = sector_ladders(p, wp, wm, 6)
     # harmonic ladder: equally spaced rungs
-    assert np.allclose(np.diff(se.closed_form_plus), wp)
-    # quasi-degenerate closed form matches the dressed-ladder energies up to
-    # the constant zero point, at machine precision
-    assert se.max_quasi_degenerate_gap < 1e-12
+    assert np.allclose(np.diff(closed_plus), wp)
+    # quasi-degenerate closed form (omega_sw_pm -> omega -+ 2 omega0 beta^2)
+    # matches the dressed-ladder energies up to the constant zero point, at
+    # machine precision
+    quasi_plus, quasi_minus = sector_ladders(p, p.omega_plus, p.omega_minus, 6)
+    dressed_minus, dressed_plus = p.ladder_energies(6)
+    gaps = np.concatenate([quasi_plus - dressed_plus, quasi_minus - dressed_minus]) - 0.5 * p.omega
+    assert max_abs(gaps) < 1e-12
 
 
 def test_generator_properties(dims40):
