@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +165,14 @@ def build_basis(
     - ``"truncated"``: E_N^+- = N omega_+- +- (omega0/2)(1 - 2 beta^2) with
       omega_+- = omega -+ 2 omega0 beta^2 and the constant dropped; this is
       the harmonic-ladder form the master-equation generators use.
+
+    Raises ``ValueError`` for an unknown ``energy_mode``; for ``n_levels`` below
+    1, above ``dims.n_cut`` or above the hard cap 1/(8 beta^2) of
+    ``n_levels_cap``; for a non-positive pair splitting E_N^+ - E_N^- at
+    omega0 > 0; and for a basis that is not orthonormal to 1e-9.  The soft
+    limits of the regime (the comfort bound 1/(20 beta^2), omega0 = 0, the
+    coupling and secular margins) are not checked here: ``validity_report``
+    grades them.
     """
     if energy_mode not in ("exact_overlap", "truncated"):
         raise ValueError(f"unknown energy_mode {energy_mode!r}")
@@ -173,17 +180,11 @@ def build_basis(
         raise ValueError("n_levels must be >= 1")
     if n_levels > dims.n_cut:
         raise ValueError(f"n_levels={n_levels} exceeds the Fock truncation n_cut={dims.n_cut}")
-    cap, warn_above = n_levels_cap(p.beta)
+    cap, _ = n_levels_cap(p.beta)
     if cap is not None and n_levels > cap:
         raise ValueError(
             f"n_levels={n_levels} violates the ladder validity bound "
             f"n_levels <= {cap} at beta={p.beta} (N must stay far below 1/(2 beta)^2)"
-        )
-    if warn_above is not None and n_levels > warn_above:
-        warnings.warn(
-            f"n_levels={n_levels} above the comfortable bound {warn_above} at beta={p.beta}; "
-            "top rungs carry growing O(N beta^2) error",
-            stacklevel=2,
         )
 
     d_minus = osc_displacement(-p.beta, dims.n_cut)  # displaces |N> -> |N_+>
@@ -214,8 +215,6 @@ def build_basis(
             f"dressed splitting E_N^+ - E_N^- non-positive at N={bad}; "
             "the retained ladder extends beyond the validity window"
         )
-    if p.omega0 == 0:
-        warnings.warn("omega0 = 0: dressed pairs are degenerate", stacklevel=2)
 
     basis = DressedBasis(
         params=p,

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .adiabatic import build_basis, validity_report
+from .adiabatic import ValidityReport, build_basis, validity_report
 from .dynamics import (
     NumericsError,
     coherent_dressed_ket,
@@ -256,14 +256,9 @@ def write_sidecar(path: Path, cfg: dict, digest: str, extra: dict):
                       "resolved_config": cfg, **extra})
 
 
-def _validity_meta(cfg: dict) -> dict:
-    rep = validity_report(_params(cfg), cfg["n_levels"], _build_rates(cfg))
-    return asdict(rep)
-
-
 # ---------------------------------------------------------------------------
 # subcommands: each returns {"files": {name: content}, "meta": {...}} and writes nothing.
-# A .csv file's content is (columns, rows, notes), validate.json's a dict; main writes them.
+# A .csv file's content is (columns, rows, notes), a .json file's a dict; main writes them.
 
 
 def cmd_spectrum(cfg: dict) -> dict:
@@ -280,8 +275,7 @@ def cmd_spectrum(cfg: dict) -> dict:
         ])
     table = (["index", "N", "branch", "E_exact", "E_adiabatic", "E_sw", "err_adiabatic", "err_sw"], rows,
              ["energies in units of omega; E_sw includes the dropped dispersive constant"])
-    meta = {"validity": _validity_meta(cfg), "max_err_adiabatic": max(r[6] for r in rows)}
-    return {"files": {"spectrum.csv": table}, "meta": meta}
+    return {"files": {"spectrum.csv": table}, "meta": {"max_err_adiabatic": max(r[6] for r in rows)}}
 
 
 def cmd_fidelity(cfg: dict) -> dict:
@@ -306,7 +300,7 @@ def cmd_fidelity(cfg: dict) -> dict:
             "mean_f_sw": comp.mean_f_sw,
         })
     table = (["omega0", "beta", "index", "N", "branch", "f_adiabatic", "f_sw", "ambiguous"], rows, [])
-    return {"files": {"fidelity.csv": table}, "meta": {"summaries": summaries, "validity": _validity_meta(cfg)}}
+    return {"files": {"fidelity.csv": table}, "meta": {"summaries": summaries}}
 
 
 # the per-generator propagation record of the relax sidecar
@@ -350,19 +344,15 @@ def cmd_relax(cfg: dict) -> dict:
     traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"], exact=True, store_states=False)
     fid_sme = traj_sme.observables["ground"]
 
-    n = min(len(traj_dme.times), len(traj_sme.times))
-    rows = [
-        [traj_dme.times[i], fid_dme[i], fid_sme[i]]
-        for i in range(n)
-    ]
+    # both trajectories sample the same evolve grid
     files = {
-        "relax.csv": (["time", "fidelity_dme_from_dressed_ground", "fidelity_sme_from_exact_ground"], rows,
+        "relax.csv": (["time", "fidelity_dme_from_dressed_ground", "fidelity_sme_from_exact_ground"],
+                      list(zip(traj_dme.times, fid_dme, fid_sme)),
                       ["fidelity = <Psi_0^-| rho |Psi_0^->"]),
         "relax_distance.csv": (["beta", "distance", "one_minus_exp", "beta_sq_over_2"], dist_rows,
                                ["distance d = 1 - |<Psi_0^-|g,0>| between the two putative ground states"]),
     }
     meta = {
-        "validity": _validity_meta(cfg),
         "dme_final_fidelity": float(fid_dme[-1]),
         "sme_final_fidelity": float(fid_sme[-1]),
         "propagation": {
@@ -402,7 +392,7 @@ def cmd_drive(cfg: dict) -> dict:
         ])
     table = (["pump_amp", "detuning_minus", "n_minus", "n_plus", "n_total",
               "predicted_n", "fidelity_coherent", "sector_plus", "residual"], rows, [])
-    return {"files": {"drive.csv": table}, "meta": {"validity": _validity_meta(cfg), "pump_freq": pump_freq}}
+    return {"files": {"drive.csv": table}, "meta": {"pump_freq": pump_freq}}
 
 
 def cmd_spectroscopy(cfg: dict) -> dict:
@@ -463,31 +453,28 @@ def cmd_spectroscopy(cfg: dict) -> dict:
         ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"], combined_rows, [],
     )
     meta = {
-        "validity": _validity_meta(cfg),
         "failures": failures,
-        "scan_metadata": results[0].metadata if results else {},
+        "scan_metadata": results[0].metadata,
         "baselines": [r.baseline_n_ss for r in results],
-        "predicted_resonances": results[0].predicted_resonances if results else [],
+        "predicted_resonances": results[0].predicted_resonances,
         "ignored_keys": ignored,
     }
     return {"files": files, "meta": meta}
 
 
 def cmd_validate(cfg: dict) -> dict:
-    p = _params(cfg)
-    rates = _build_rates(cfg)
-    rep = validity_report(p, cfg["n_levels"], rates)
+    """Run no experiment: ``main`` prints the run's one validity report and files it as validate.json."""
+    return {"files": {}, "meta": {}}
+
+
+def _describe_validity(rep: ValidityReport) -> str:
     lines = [
         f"quasi-degenerate qubit: {rep.quasi_degenerate} (margin {rep.qubit_margin:+.4g} omega)",
         f"coupling within O(beta^4) window: {rep.beta_ok} (margin {rep.beta_margin:+.4g})",
         f"ladder bound n_max = {rep.n_max}; n_levels ok: {rep.n_levels_ok}",
         f"secular approximation ok: {rep.secular_ok} (margin {rep.secular_margin})",
     ]
-    for note in rep.warnings:
-        lines.append(f"note: {note}")
-    print("\n".join(lines))
-    report = asdict(rep)
-    return {"files": {"validate.json": {"report": report, "resolved_config": cfg}}, "meta": {"report": report}}
+    return "\n".join(lines + [f"note: {note}" for note in rep.warnings])
 
 
 _COMMANDS = {
@@ -573,6 +560,12 @@ def main(argv=None) -> int:
             files, meta = result["files"], result["meta"]
             if cfg["check_truncation"] and args.command != "validate":
                 meta["truncation_shift"] = truncation_shift(args.command, cfg, files)
+            # the regime is graded once per run, here, and never inside a command or its re-run
+            report = validity_report(_params(cfg), cfg["n_levels"], _build_rates(cfg))
+            meta["validity"] = asdict(report)
+            if args.command == "validate":
+                print(_describe_validity(report))
+                files["validate.json"] = {"report": meta["validity"], "resolved_config": cfg}
             digest = config_digest(cfg)
             for name, content in files.items():
                 if name.endswith(".csv"):

@@ -102,10 +102,9 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     """
     if rho.shape == (b.reduced_dim, b.reduced_dim):
         rho_d, leakage = rho, 0.0
-        total = float(np.real(np.trace(rho)))
     else:
         rho_d, leakage = b.project_density(rho)
-        total = float(np.real(np.trace(rho)))
+    total = float(np.real(np.trace(rho)))
     pops = np.real(np.diag(rho_d))
     L = b.n_levels
     n = np.arange(L)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,10 +222,17 @@ def test_dressed_lowering(dims40):
 def test_build_basis_guards(dims40):
     with pytest.raises(ValueError):
         build_basis(RabiParams(1.0, 0.3, 0.1), 13, dims40)  # above the hard cap
-    with pytest.warns(UserWarning):
+    # the soft limits are graded by validity_report alone: build_basis builds without a warning
+    rates = fig3_rates()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         build_basis(RabiParams(1.0, 0.3, 0.1), 8, dims40)  # above the comfort bound
-    with pytest.warns(UserWarning):
         build_basis(RabiParams(1.0, 0.0, 0.1), 3, dims40)  # degenerate qubit
+    comfort = "n_levels=8 above the comfortable bound 5"
+    assert comfort in validity_report(RabiParams(1.0, 0.3, 0.1), 8, rates).warnings
+    assert not any("comfortable" in w for w in validity_report(RabiParams(1.0, 0.3, 0.1), 5, rates).warnings)
+    assert "omega0 = 0: degenerate qubit, dressed pairs coincide" in \
+        validity_report(RabiParams(1.0, 0.0, 0.1), 3, rates).warnings
     with pytest.raises(ValueError):
         build_basis(RabiParams(1.0, 0.3, 0.1), 0, dims40)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +152,53 @@ def test_outputs_are_strict_json(tmp_path):
     # no rates: the secular margin is infinite, which JSON writes as null
     cfg = write_config(tmp_path, {**BASE, "rates": {"Gamma": 0.0, "gamma": 0.0}})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
-    for name in ("validate.json", "validate.meta.json"):
+    for name, key in (("validate.json", "report"), ("validate.meta.json", "validity")):
         text = (tmp_path / "zero" / name).read_text(encoding="utf-8")
-        assert json.loads(text, parse_constant=_reject_constant)["report"]["secular_margin"] is None
+        assert json.loads(text, parse_constant=_reject_constant)[key]["secular_margin"] is None
+
+
+# one small run of every command
+TINY = {
+    **BASE,
+    "rates": {"Gamma": 0.1, "gamma": 0.05, "gamma_f": 0.0},
+    "n_cut": 12,
+    "n_levels": 3,
+    "spectrum": {"keep": 2},
+    "fidelity": {"n_states": 2, "grid": [{"omega0": 0.3, "beta": 0.1}]},
+    "relax": {"t_end_over_rate": 0.5, "dt": 0.1, "stride": 1, "beta_grid": [0.1]},
+    "drive": {"pump_amps": [0.05]},
+    "spectroscopy": {"baselines": [1.0], "grid_points": 2, "span": [1.0, 3.0]},
+}
+
+
+@pytest.mark.parametrize("check_truncation", [False, True])
+@pytest.mark.parametrize("command", ["spectrum", "fidelity", "relax", "drive", "spectroscopy", "validate"])
+def test_validity_is_graded_once_per_run(tmp_path, monkeypatch, command, check_truncation):
+    # main grades the regime once, after the command and outside its truncation re-run
+    reports, real = [], cli.validity_report
+
+    def counted(*args):
+        reports.append(real(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "validity_report", counted)
+    cfg = write_config(tmp_path, {**TINY, "check_truncation": check_truncation})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(reports) == 1
+    meta = json.loads((tmp_path / "out" / f"{command}.meta.json").read_text())
+    assert meta["validity"] == cli._jsonable(asdict(reports[0]))
+    if command == "validate":
+        assert json.loads((tmp_path / "out" / "validate.json").read_text())["report"] == meta["validity"]
+
+
+def test_default_drive_warns_nothing_and_files_the_comfort_note(tmp_path):
+    # n_levels=12 at beta=0.1 is above the comfort bound 5: a note in the sidecar, not a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["drive", "--out", str(tmp_path)]) == 0
+    assert not [w for w in caught if str(w.message).startswith("n_levels=")]
+    meta = json.loads((tmp_path / "drive.meta.json").read_text())
+    assert "n_levels=12 above the comfortable bound 5" in meta["validity"]["warnings"]
 
 
 def test_spectrum_energy_mode_is_exact_overlap_only(tmp_path, capsys):

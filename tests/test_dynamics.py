@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,9 +38,7 @@ from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state, rk
 
 
 def _basis(dims, n_levels=6, omega0=0.3, beta=0.1):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_basis(RabiParams(1.0, omega0, beta), n_levels, dims, energy_mode="truncated")
+    return build_basis(RabiParams(1.0, omega0, beta), n_levels, dims, energy_mode="truncated")
 
 
 def _moderate_rates(gamma_f=0.0):

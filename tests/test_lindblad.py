@@ -24,11 +24,7 @@ from dense_reference import dissipator_apply
 
 @pytest.fixture(scope="module")
 def basis(dims40):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_basis(fig3_params(), 12, dims40, energy_mode="truncated")
+    return build_basis(fig3_params(), 12, dims40, energy_mode="truncated")
 
 
 def test_dissipator_basics(dims40):

@@ -9,9 +9,9 @@ the dense kron reference of ``dense_reference``.
 
 The CLI's config schema is fuzzed from its own table, ``cli._SCHEMA``: one or
 two keys of a tiny config get a wrong type, a non-finite number, zero, a
-negative value, an empty list, or a missing or extra nested key, and
-``validate``, ``drive`` or ``relax`` must either reject the config before
-writing a table (exit 2) or run to finite tables.
+negative value, an empty list, or a missing or extra nested key, and every
+command must either reject the config before writing a table (exit 2) or run
+to finite tables.
 """
 
 import contextlib
@@ -64,10 +64,8 @@ def params(draw, max_levels: int = 4):
 
 
 def _basis(omega0: float, beta: float, n_levels: int):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return build_basis(RabiParams(1.0, omega0, beta), n_levels, SpaceDims(n_levels + 8),
-                           energy_mode="truncated")
+    return build_basis(RabiParams(1.0, omega0, beta), n_levels, SpaceDims(n_levels + 8),
+                       energy_mode="truncated")
 
 
 def _generic(draw, density: float = 0.6):
@@ -221,6 +219,9 @@ CLI_BASE = cli.resolve_config({
     "n_levels": 2,
     "relax": {"t_end_over_rate": 0.5, "dt": 0.1, "stride": 1, "beta_grid": [0.1]},
     "drive": {"pump_amps": [0.05]},
+    "spectrum": {"keep": 2},
+    "fidelity": {"n_states": 2, "grid": [{"omega0": 0.3, "beta": 0.1}]},
+    "spectroscopy": {"baselines": [1.0], "grid_points": 2, "span": [1.0, 3.0]},
 }, {})
 MISSING = object()
 
@@ -263,15 +264,17 @@ def _reject_constant(name):
 
 
 def _csv_cells(out) -> list[str]:
+    """The numeric cells of every table: all but the ``branch`` column's +/- labels."""
     cells = []
     for table in out.glob("*.csv"):
-        rows = [line for line in table.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
-        cells += [cell for row in rows[1:] for cell in row.split(",")]  # rows[0] is the header
+        header, *rows = [line.split(",") for line in table.read_text(encoding="utf-8").splitlines()
+                         if not line.startswith("#")]
+        cells += [cell for row in rows for name, cell in zip(header, row) if name != "branch"]
     return cells
 
 
 @settings(PROFILE, max_examples=200)
-@given(st.sampled_from(["validate", "drive", "relax"]),
+@given(st.sampled_from(list(cli._COMMANDS)),
        st.lists(st.sampled_from(CLI_MUTATIONS), min_size=1, max_size=2))
 def test_cli_config_mutations_fail_early_or_run_clean(command, mutations):
     cfg = json.loads(json.dumps(CLI_BASE))
