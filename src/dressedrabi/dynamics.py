@@ -208,8 +208,11 @@ def evolve(
     eigenvalues computed, those of the final sample and of every sample that
     failed the Cholesky test.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    # written so that NaN fails both checks
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end = {t_end} must be finite and >= 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt = {dt} must be finite and > 0")
     rho, leakage = _prepare_state(me, rho0)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))
@@ -434,38 +437,38 @@ _HARMONIC_TOL = 1e-8
 _MAX_HARMONICS = 8
 
 
-def _harmonic_system(static, a, omega: float, order: int) -> sparse.csc_matrix:
+def _harmonic_system(static, coupling, omega: float, order: int) -> sparse.csc_matrix:
     """Generator of the harmonics rho_k, |k| <= order, with the block of rho_0 first.
 
-    Block row k is (L + i k omega) rho_k + V+ rho_{k-1} + V- rho_{k+1}, with
-    V+ = -i[a, .] and V- = -i[a^dag, .].
+    For H(t) = 2 cos(omega t) A, A Hermitian, block row k is (L + i k omega)
+    rho_k + V (rho_{k-1} + rho_{k+1}); the ``coupling`` V = -i[A, .] is A's
+    ``MasterEquation.liouvillian``.
     """
-    eye_d = sparse.identity(a.shape[0], dtype=complex, format="csc")
-    v_plus, v_minus = (-1j * (sparse.kron(eye_d, op) - sparse.kron(op.T, eye_d)) for op in (a, a.conj().T))
-    eye_dd = sparse.identity(static.shape[0], dtype=complex, format="csc")
+    eye = sparse.identity(static.shape[0], dtype=complex, format="csc")
     ks = [0] + [sign * k for k in range(1, order + 1) for sign in (1, -1)]
-    rows = [{k: static + (1j * k * omega) * eye_dd, k - 1: v_plus, k + 1: v_minus} for k in ks]
+    rows = [{k: static + (1j * k * omega) * eye, k - 1: coupling, k + 1: coupling} for k in ks]
     return sparse.bmat([[row.get(j) for j in ks] for row in rows], format="csc")
 
 
 def steady_state_timeaveraged(me: MasterEquation, tone: np.ndarray, frequency: float) -> SteadyState:
-    """Period-averaged asymptotic state of ``me`` plus H(t) = tone e^{-i w t} + h.c.
+    """Period-averaged asymptotic state of ``me`` plus H(t) = 2 cos(w t) tone, tone Hermitian.
 
-    With the tone the asymptotic state is periodic,
-    rho(t) = sum_k rho_k e^{-i k w t}, and its period average is rho_0
-    (Floquet theory of driven open systems: M. Grifoni and P. Hanggi,
-    Phys. Rep. 304, 229 (1998)).  The harmonics |k| <= K solve one sparse
-    block-tridiagonal system (``_harmonic_system``) through
+    The asymptotic state is periodic, rho(t) = sum_k rho_k e^{-i k w t}, and
+    its period average is rho_0 (Floquet theory of driven open systems: M.
+    Grifoni and P. Hanggi, Phys. Rep. 304, 229 (1998)).  The harmonics
+    |k| <= K solve one sparse block-tridiagonal system (``_harmonic_system``),
+    coupled by V = -i[tone, .], the ``MasterEquation.liouvillian`` of the tone
+    (which refuses a non-Hermitian one with ``ValueError``), through
     ``_solve_liouvillian``; K starts at 2 and rises by one until rho_0 moves
     by at most 1e-8, or fails with ``NumericsError`` past K = 8.  ``metadata``
     records ``harmonics`` (K), ``k_change``, ``clipped_weight`` and ``solve``.
     """
     d, scale, static = me.dim, generator_scale(me), me.liouvillian()
-    a = sparse.csc_matrix(tone)
+    coupling = MasterEquation(tone).liouvillian()
     ss = None
     for order in range(2, _MAX_HARMONICS + 1):
         prev = ss
-        ss = _solve_liouvillian(_harmonic_system(static, a, frequency, order), d, scale)
+        ss = _solve_liouvillian(_harmonic_system(static, coupling, frequency, order), d, scale)
         change = math.inf if prev is None else max_abs(ss.rho - prev.rho)
         if change <= _HARMONIC_TOL:
             break

@@ -288,14 +288,12 @@ def _pump_frame_hamiltonian(
     """
     n = np.arange(b.n_levels, dtype=float)
     half = b.params.half_splitting
-    if spec_freq is not None:
-        half -= 0.5 * spec_freq
     diag = np.concatenate([n * (b.omega_minus - pump_freq) - half, n * (b.omega_plus - pump_freq) + half])
     h = np.diag(diag).astype(complex)
     drive = b.reduced_ladder("+") + b.reduced_ladder("-")
     h += pump_amp * (drive + drive.conj().T)
     if spec_freq is not None:
-        h += _cross_drive_op(b, spec_amp)
+        h += spec_freq * _probe_frame_op(b) + _cross_drive_op(b, spec_amp)
     return h
 
 
@@ -363,3 +361,7 @@ def _cross_drive_op(b: DressedBasis, spec_amp: float) -> np.ndarray:
     cross = sum(b.reduced_cross(n) for n in range(b.n_levels))
     return -2.0 * b.params.beta * spec_amp * (cross + cross.conj().T)
 
+
+def _probe_frame_op(b: DressedBasis) -> np.ndarray:
+    """The probe frame's generator F = (1_- - 1_+)/2: rotating at omega_s adds omega_s F to H."""
+    return np.diag(np.repeat([0.5, -0.5], b.n_levels))

@@ -10,6 +10,7 @@ with hbar = 1 and diagonalizes it densely.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,10 +54,13 @@ class RabiParams:
     beta: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if self.omega0 < 0:
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
+        # written so that NaN fails every check
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        if not 0 <= self.omega0 < math.inf:
+            raise ValueError(f"omega0 must be finite and >= 0, got {self.omega0}")
+        if not -math.inf < self.beta < math.inf:
+            raise ValueError(f"beta must be finite, got {self.beta}")
 
     @property
     def quasi_degenerate(self) -> bool:

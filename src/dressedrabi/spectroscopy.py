@@ -11,14 +11,14 @@ ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from .adiabatic import build_basis
 from .hilbert import SpaceDims
-from .lindblad import RateFunctions, _cross_drive_op, driven_rotating_dme
+from .lindblad import MasterEquation, RateFunctions, _cross_drive_op, _probe_frame_op, driven_rotating_dme
 from .dynamics import (
     NumericsError,
     _solve_liouvillian,
@@ -51,8 +51,8 @@ def predicted_resonances(p: RabiParams, n_max: int) -> np.ndarray:
 
 def dissipated_power(n_ss: float, omega_p: float, gamma_fun) -> float:
     """Steady-state power dissipated into the oscillator bath: omega_p Gamma(omega_p) N_ss / 2."""
-    if n_ss < 0:
-        raise ValueError("excitation number must be >= 0")
+    if not 0 <= n_ss < math.inf:
+        raise ValueError(f"excitation number {n_ss} must be finite and >= 0")
     rate = gamma_fun(omega_p) if callable(gamma_fun) else float(gamma_fun)
     return omega_p * rate * n_ss / 2.0
 
@@ -81,7 +81,8 @@ class SpectroscopyConfig:
 
     def __post_init__(self):
         grid = np.asarray(self.omega_s_grid, dtype=float)
-        if np.any(grid <= 0) or np.any(grid > 1.2 * self.params.omega0):
+        # written so that a NaN point fails the check
+        if not np.all((grid > 0) & (grid <= 1.2 * self.params.omega0)):
             raise ValueError("probe grid must lie in (0, 1.2*omega0]")
         self.omega_s_grid = grid
         if self.solver not in ("corotating", "timeaveraged"):
@@ -115,13 +116,13 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     The baseline is the no-probe steady state with dephasing included, so the
     percent reduction isolates the probe's effect.  Point solver: the
     time-independent pump+probe co-rotating generator by default, built once
-    per pump: H(omega_s) = H(0) + (omega_s/2)(1_- - 1_+), so each point solves
-    L(0) + omega_s B with B = -i[(1_- - 1_+)/2, .] diagonal.  Or the exact
-    period average of the pump-frame generator plus the probe tone
-    (``solver="timeaveraged"``), which keeps the probe's counter-rotating
-    component: one harmonic solve per point, ~40x the cost (0.24 s against
-    6 ms at ``n_levels=12``).  Per-point numeric failures are recorded and the
-    scan continues.
+    per pump: H(omega_s) = H(0) + omega_s F, F = (1_- - 1_+)/2, so each point
+    solves L(0) + omega_s B with B = -i[F, .], F's ``MasterEquation.liouvillian``.
+    Or the exact period average of the pump-frame generator plus the probe
+    tone H(t) = 2 cos(omega_s t) A, A Hermitian (``solver="timeaveraged"``),
+    which keeps the probe's counter-rotating component: one harmonic solve
+    per point, ~40x the cost (0.24 s against 6 ms at ``n_levels=12``).
+    Per-point numeric failures are recorded and the scan continues.
     """
     resonances = predicted_resonances(cfg.params, cfg.n_levels)  # refuses beta = 0 before any solve
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
@@ -134,10 +135,9 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
         raise ValueError("baseline excitation number is not positive; is the pump on?")
 
     if cfg.solver == "corotating":
-        # the probe frame at omega_s = 0, and B from the sector signs of the frame rotation
+        # the probe frame at omega_s = 0, and B = -i[F, .] of the frame's generator F
         point_me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, 0.0)
-        half = np.repeat([0.5, -0.5], basis.n_levels)
-        op = sparse.diags(-1j * (half[:, None] - half).ravel(order="F"), format="csc")
+        op = MasterEquation(_probe_frame_op(basis)).liouvillian()
     else:
         # the probe tone: H(t) = 2 cos(omega_s t) times this Hermitian cross-ladder operator
         point_me, op = baseline_me, _cross_drive_op(basis, cfg.spec_amp)

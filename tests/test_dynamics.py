@@ -234,12 +234,18 @@ def test_eigenvalue_floor_tolerates_rounding_but_not_negativity(dims40, exact):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_non_finite_initial_state_is_refused(dims40, exact):
+    # and a horizon or step that is not finite, or out of range
     me = zero_temperature_dme(_basis(dims40), _moderate_rates()[0])
     rho0 = np.zeros((12, 12), dtype=complex)
     rho0[0, 0] = 1.0
-    rho0[0, 6] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        evolve(me, rho0, 1.0, 0.02, stride=5, exact=exact)
+    bad = rho0.copy()
+    bad[0, 6] = np.nan
+    cases = [(bad, 1.0, 0.02, "non-finite")]
+    cases += [(rho0, t_end, 0.02, "t_end") for t_end in (math.nan, math.inf, -1.0)]
+    cases += [(rho0, 1.0, dt, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
+    for state, t_end, dt, match in cases:
+        with pytest.raises(ValueError, match=match):
+            evolve(me, state, t_end, dt, stride=5, exact=exact)
 
 
 def test_non_finite_system_is_refused_before_the_dense_retry():
@@ -416,6 +422,14 @@ def test_dephasing_sets_no_relaxation_time(dims40, monkeypatch):
     monkeypatch.setattr(dynamics, "_LONGTIME_TOL", 1.0)
     ss = steady_state_longtime(me, rho0, dt=0.1)
     assert ss.metadata["time"] == pytest.approx(5.0 / kappa, rel=1e-12)
+
+
+def test_timeaveraged_refuses_a_non_hermitian_tone(dims40):
+    # H(t) = 2 cos(w t) tone is Hermitian only for a Hermitian tone
+    b = _basis(dims40, n_levels=3)
+    me, tone = _probed(b, _moderate_rates()[0], 0.1, 0.05)
+    with pytest.raises(ValueError, match="Hermitian"):
+        steady_state_timeaveraged(me, np.triu(tone), 0.29)
 
 
 def test_timeaveraged_unconverged_harmonics_raise(dims40):

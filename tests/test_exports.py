@@ -60,6 +60,19 @@ def test_every_exported_name_has_a_caller():
     assert not uncalled, f"public names with no caller: {sorted(set(uncalled))}"
 
 
+def test_only_the_liouvillian_builds_superoperators():
+    # MasterEquation.liouvillian is the one code that turns an operator into a
+    # d^2 x d^2 matrix; a hand-built kron or diags superoperator must not come back
+    hand_built = re.compile(r"\bsparse\.(kron|diags)\b")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "dressedrabi").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if hand_built.search(line)
+    ]
+    assert found == []
+
+
 def test_bench_first_work_targets_resolve():
     # the bench ends set-up at the first call of one of these; a renamed target
     # would read as absent and silently move setup_s

@@ -58,6 +58,29 @@ def test_dissipated_power():
         dissipated_power(-1.0, 1.0, 0.1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RabiParams(omega=np.nan),
+        lambda: RabiParams(omega=np.inf),
+        lambda: RabiParams(omega0=np.nan),
+        lambda: RabiParams(omega0=np.inf),
+        lambda: RabiParams(beta=np.nan),
+        lambda: RabiParams(beta=-np.inf),
+        lambda: SpectroscopyConfig(params=fig3_params(), rates=fig3_rates(), pump_amp=1e-3, spec_amp=1e-4,
+                                   omega_s_grid=[0.29, np.nan]),
+        lambda: dissipated_power(np.nan, 1.0, 0.1),
+        lambda: dissipated_power(np.inf, 1.0, 0.1),
+    ],
+    ids=["omega-nan", "omega-inf", "omega0-nan", "omega0-inf", "beta-nan", "beta-inf", "grid-nan",
+         "power-nan", "power-inf"],
+)
+def test_non_finite_inputs_are_refused(build):
+    # each guard is a comparison that NaN fails
+    with pytest.raises(ValueError, match="finite|grid"):
+        build()
+
+
 def test_grid_and_config_validation():
     p = fig3_params()
     grid = default_scan_grid(p, 41)
