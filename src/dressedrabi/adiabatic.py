@@ -8,7 +8,8 @@ ladders of entangled qubit-oscillator states,
 built from conditionally displaced Fock states |N_m> = D(-m beta)|N>.  The
 module constructs the retained basis and, in reduced coordinates, its ladder,
 projection and cross-ladder operators and the effective two-oscillator
-Hamiltonian; ``DressedBasis.expand`` carries any of them to the full space.
+Hamiltonian; the basis's ``isometry`` V carries any of them to the full space
+as V op V^dag.
 
 Reduced coordinates: basis states are ordered minus ladder first, then plus
 ladder (index = N for |Psi_N^->, n_levels + N for |Psi_N^+>); operators in
@@ -75,7 +76,6 @@ class DressedBasis:
     params: RabiParams
     dims: SpaceDims
     n_levels: int
-    energy_mode: str
     states_minus: np.ndarray  # total_dim x n_levels, columns |Psi_N^->
     states_plus: np.ndarray
     energies_minus: np.ndarray
@@ -84,7 +84,6 @@ class DressedBasis:
     omega_plus: float
     omega_tilde: np.ndarray
     orthonormality_defect: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     @property
     def reduced_dim(self) -> int:
@@ -125,19 +124,11 @@ class DressedBasis:
         o = np.array([displaced_overlap(n, self.params.beta) for n in range(self.n_levels)])
         return np.diag(np.concatenate([-o, o])).astype(complex)
 
-    def truncated_energies(self) -> tuple[np.ndarray, np.ndarray]:
-        """Harmonic-ladder energies (E^-, E^+) with the constant -omega beta^2 dropped."""
-        return self.params.ladder_energies(self.n_levels)
-
     def reduced_hamiltonian(self) -> np.ndarray:
-        em, ep = self.truncated_energies()
+        em, ep = self.params.ladder_energies(self.n_levels)
         return np.diag(np.concatenate([em, ep])).astype(complex)
 
     # -- representation changes ---------------------------------------------
-
-    def expand(self, op_reduced: np.ndarray) -> np.ndarray:
-        v = self.isometry
-        return v @ op_reduced @ v.conj().T
 
     def reduce(self, op_full: np.ndarray) -> np.ndarray:
         v = self.isometry
@@ -168,11 +159,11 @@ def build_basis(
 
     Raises ``ValueError`` for an unknown ``energy_mode``; for ``n_levels`` below
     1, above ``dims.n_cut`` or above the hard cap 1/(8 beta^2) of
-    ``n_levels_cap``; for a non-positive pair splitting E_N^+ - E_N^- at
-    omega0 > 0; and for a basis that is not orthonormal to 1e-9.  The soft
-    limits of the regime (the comfort bound 1/(20 beta^2), omega0 = 0, the
-    coupling and secular margins) are not checked here: ``validity_report``
-    grades them.
+    ``n_levels_cap``; and for a basis that is not orthonormal to 1e-9.  Below
+    the cap every pair splitting E_N^+ - E_N^- is at least omega0/2 in both
+    modes.  The soft limits of the regime (the comfort bound 1/(20 beta^2),
+    omega0 = 0, the coupling and secular margins) are not checked here:
+    ``validity_report`` grades them.
     """
     if energy_mode not in ("exact_overlap", "truncated"):
         raise ValueError(f"unknown energy_mode {energy_mode!r}")
@@ -208,19 +199,10 @@ def build_basis(
     else:
         energies_minus, energies_plus = p.ladder_energies(n_levels)
 
-    gaps = energies_plus - energies_minus
-    if p.omega0 > 0 and np.any(gaps <= 0):
-        bad = int(np.argmax(gaps <= 0))
-        raise ValueError(
-            f"dressed splitting E_N^+ - E_N^- non-positive at N={bad}; "
-            "the retained ladder extends beyond the validity window"
-        )
-
     basis = DressedBasis(
         params=p,
         dims=dims,
         n_levels=n_levels,
-        energy_mode=energy_mode,
         states_minus=states_minus,
         states_plus=states_plus,
         energies_minus=energies_minus,

@@ -50,7 +50,6 @@ class Trajectory:
 class SteadyState:
     rho: np.ndarray
     residual: float
-    method: str
     metadata: dict = field(default_factory=dict)
 
 
@@ -208,11 +207,13 @@ def evolve(
     eigenvalues computed, those of the final sample and of every sample that
     failed the Cholesky test.
     """
-    # written so that NaN fails both checks
+    # written so that NaN fails every check
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end = {t_end} must be finite and >= 0")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt = {dt} must be finite and > 0")
+    if not stride >= 1:
+        raise ValueError(f"stride = {stride} must be >= 1")
     rho, leakage = _prepare_state(me, rho0)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))
@@ -341,10 +342,10 @@ def _solve_liouvillian(system, d: int, scale: float):
     and SuperLU solves the result; a singular factor or a residual above
     ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
     with the trace row appended; a non-finite system or splu solution raises
-    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns a
-    ``"nullspace"`` ``SteadyState`` of rho_0 whose residual is max|M v - b| of
-    the folded system with the clipped rho_0 in v, which for a unit-trace
-    rho_0 is max|system v|.  Its ``metadata`` records ``clipped_weight`` and
+    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns the
+    ``SteadyState`` of rho_0 whose residual is max|M v - b| of the folded
+    system with the clipped rho_0 in v, which for a unit-trace rho_0 is
+    max|system v|.  Its ``metadata`` records ``clipped_weight`` and
     ``solve``, the path that ran: ``"splu"`` or ``"lstsq"``.
     """
     n = system.shape[0]
@@ -385,7 +386,7 @@ def _solve_liouvillian(system, d: int, scale: float):
                 f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale; "
                 "the generator may have a degenerate steady family"
             )
-    return SteadyState(rho, residual, "nullspace", {"clipped_weight": clipped, "solve": path})
+    return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path})
 
 
 def steady_state_nullspace(me: MasterEquation) -> SteadyState:
@@ -426,7 +427,6 @@ def steady_state_longtime(me: MasterEquation, rho0: np.ndarray, dt: float) -> St
             return SteadyState(
                 rho=rho,
                 residual=float(max_abs(me.rhs(rho))),
-                method="longtime",
                 metadata={"time": t, "clipped_weight": clipped},
             )
     raise NumericsError(f"long-time residual did not reach {_LONGTIME_TOL:.1g}*scale by t={limit:.3g}")
@@ -474,7 +474,6 @@ def steady_state_timeaveraged(me: MasterEquation, tone: np.ndarray, frequency: f
             break
     else:
         raise NumericsError(f"harmonics not converged at K={order}: rho_0 still moves by {change:.3g}")
-    ss.method = "timeaveraged"
     ss.metadata.update(harmonics=order, k_change=change)
     return ss
 

@@ -111,7 +111,6 @@ class MasterEquation:
     hamiltonian: np.ndarray
     jumps: list[JumpTerm] = field(default_factory=list)
     basis: DressedBasis | None = None
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         dim = self.hamiltonian.shape[0]
@@ -198,7 +197,6 @@ def standard_master_equation(p: RabiParams, rates: RateFunctions, dims: SpaceDim
             JumpTerm(kappa, annihilation(dims), frequency=p.omega, label="oscillator"),
             JumpTerm(gamma, qubit_op("sigma_minus", dims), frequency=p.omega0, label="qubit"),
         ],
-        metadata={"kind": "sme"},
     )
 
 
@@ -231,7 +229,6 @@ def zero_temperature_dme(b: DressedBasis, rates: RateFunctions) -> MasterEquatio
         hamiltonian=b.reduced_hamiltonian(),
         jumps=_dme_jumps(b, rates),
         basis=b,
-        metadata={"kind": "dme_zero_t"},
     )
 
 
@@ -256,7 +253,6 @@ def finite_temperature_dme(b: DressedBasis, rates: RateFunctions) -> MasterEquat
         hamiltonian=b.reduced_hamiltonian(),
         jumps=jumps,
         basis=b,
-        metadata={"kind": "dme_finite_t", "temperature": rates.temperature},
     )
 
 
@@ -264,7 +260,7 @@ def gibbs_state(b: DressedBasis, temperature: float) -> np.ndarray:
     """Thermal state exp(-H/T)/Z over the retained dressed spectrum (reduced coords)."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    em, ep = b.truncated_energies()
+    em, ep = b.params.ladder_energies(b.n_levels)
     energies = np.concatenate([em, ep])
     weights = np.exp(-(energies - energies.min()) / temperature)
     return np.diag(weights / weights.sum()).astype(complex)
@@ -339,14 +335,10 @@ def driven_rotating_dme(
         )
     if rates.gamma_f > 0:
         jumps.append(JumpTerm(rates.gamma_f, b.reduced_dephasing_op(), 0.0, "dephasing"))
-    metadata = {"kind": "driven_rotating", "pump_amp": pump_amp, "pump_freq": pump_freq, "frame": "pump"}
-    if spec_freq is not None:
-        metadata.update(kind="two_tone_corotating", spec_amp=spec_amp, spec_freq=spec_freq, frame="pump+probe")
     return MasterEquation(
         hamiltonian=_pump_frame_hamiltonian(b, pump_amp, pump_freq, spec_amp, spec_freq),
         jumps=jumps,
         basis=b,
-        metadata=metadata,
     )
 
 

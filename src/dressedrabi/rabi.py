@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,10 +105,8 @@ class Spectrum:
 
     energies: np.ndarray
     states: np.ndarray
-    residuals: np.ndarray
     converged: np.ndarray | None = None
     parity: np.ndarray | None = None
-    metadata: dict = field(default_factory=dict)
 
 
 def rabi_hamiltonian(p: RabiParams, dims: SpaceDims) -> np.ndarray:
@@ -180,11 +178,7 @@ def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
     if pi_op is not None and max_abs(h @ pi_op - pi_op @ h) < 1e-9 * scale:
         states, parity = _parity_resolve(energies, states, pi_op, gap_tol=1e-10 * scale)
     states = _fix_phases(states)
-
-    residuals = np.array(
-        [np.linalg.norm(h @ states[:, k] - energies[k] * states[:, k]) for k in range(len(energies))]
-    )
-    return Spectrum(energies=energies, states=states, residuals=residuals, parity=parity)
+    return Spectrum(energies=energies, states=states, parity=parity)
 
 
 def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:
@@ -200,7 +194,6 @@ def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:
     ref = np.linalg.eigvalsh(rabi_hamiltonian(p, bigger))[:keep]
     shifts = np.abs(spec.energies - ref)
     spec.converged = shifts < 1e-8 * p.omega
-    spec.metadata["truncation_shifts"] = shifts
     if not spec.converged.all():
         warnings.warn(
             f"{int((~spec.converged).sum())} of {keep} eigenpairs not converged "

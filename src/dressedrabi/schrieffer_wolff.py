@@ -15,7 +15,7 @@ so it serves as the competing approximation in the fidelity comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -122,11 +122,9 @@ class FidelityRow:
 
 @dataclass
 class FidelityComparison:
-    params: RabiParams
     rows: list[FidelityRow]
     mean_f_adiabatic: float
     mean_f_sw: float
-    metadata: dict = field(default_factory=dict)
 
 
 def fidelity_comparison(
@@ -186,9 +184,7 @@ def fidelity_comparison(
             )
         )
     return FidelityComparison(
-        params=p,
         rows=rows,
         mean_f_adiabatic=float(np.mean([r.f_adiabatic for r in rows])),
         mean_f_sw=float(np.mean([r.f_sw for r in rows])),
-        metadata={"n_levels": n_levels, "n_cut": dims.n_cut},
     )

@@ -51,9 +51,14 @@ def predicted_resonances(p: RabiParams, n_max: int) -> np.ndarray:
 
 def dissipated_power(n_ss: float, omega_p: float, gamma_fun) -> float:
     """Steady-state power dissipated into the oscillator bath: omega_p Gamma(omega_p) N_ss / 2."""
+    # written so that NaN fails every check
     if not 0 <= n_ss < math.inf:
         raise ValueError(f"excitation number {n_ss} must be finite and >= 0")
+    if not -math.inf < omega_p < math.inf:
+        raise ValueError(f"pump frequency {omega_p} must be finite")
     rate = gamma_fun(omega_p) if callable(gamma_fun) else float(gamma_fun)
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate Gamma({omega_p}) = {rate} must be finite and >= 0")
     return omega_p * rate * n_ss / 2.0
 
 

@@ -18,6 +18,12 @@ def basis_ket(qubit_index: int, n: int, dims: SpaceDims) -> np.ndarray:
     return ket
 
 
+def expand(b, op_reduced: np.ndarray) -> np.ndarray:
+    """A reduced-coordinate operator of basis ``b`` carried to the full space: V op V^dag."""
+    v = b.isometry
+    return v @ op_reduced @ v.conj().T
+
+
 def fig3_params() -> RabiParams:
     return RabiParams(omega=1.0, omega0=0.3, beta=0.1)
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from dressedrabi.adiabatic import build_basis, displaced_overlap, n_levels_cap, validity_report
-from dressedrabi.hilbert import annihilation, displaced_fock, max_abs, qubit_op
+from dressedrabi.hilbert import SpaceDims, annihilation, displaced_fock, max_abs, qubit_op
 from dressedrabi.rabi import RabiParams, exact_spectrum, max_overlap_pairing
 
-from conftest import basis_ket, fig3_rates
+from conftest import basis_ket, expand, fig3_rates
 
 
 def _cross_sum(b):
@@ -18,7 +18,7 @@ def _cross_sum(b):
 
 def _dressed_lowering(b):
     """a_- + a_+ - 2 beta sum_N |Psi_N^-><Psi_N^+| in the full space."""
-    return b.expand(b.reduced_ladder("-") + b.reduced_ladder("+") - 2.0 * b.params.beta * _cross_sum(b))
+    return expand(b, b.reduced_ladder("-") + b.reduced_ladder("+") - 2.0 * b.params.beta * _cross_sum(b))
 
 
 def test_displaced_overlap_values(dims40):
@@ -84,8 +84,19 @@ def test_orthonormality_and_oracle_fidelity(dims40, omega0, beta, floor):
     assert fid.min() >= floor
 
 
+@pytest.mark.parametrize("beta", [0.02, 0.05, -0.1, 0.2, 0.35])
+def test_pair_splitting_stays_above_half_omega0_up_to_the_cap(beta):
+    # n_levels <= 1/(8 beta^2) keeps 4 N beta^2 <= 1/2 - 4 beta^2 on every retained rung, so
+    # omega_tilde_N >= omega0 (1/2 + 2 beta^2); the exact overlap stays above 1/2 as well
+    p = RabiParams(1.0, 0.3, beta)
+    cap, _ = n_levels_cap(beta)
+    for mode in ("truncated", "exact_overlap"):
+        b = build_basis(p, cap, SpaceDims(cap + 20), energy_mode=mode)
+        assert np.min(b.energies_plus - b.energies_minus) >= 0.5 * p.omega0, mode
+
+
 def test_isometry_is_built_once(dims40):
-    # expand, reduce and project_density all read it: one hstack per basis
+    # reduce and project_density both read it: one hstack per basis
     b = build_basis(RabiParams(1.0, 0.3, 0.1), 4, dims40)
     assert b.isometry is b.isometry and not b.isometry.flags.writeable
     assert np.array_equal(b.isometry, np.hstack([b.states_minus, b.states_plus]))
@@ -112,10 +123,10 @@ def test_energy_mode_consistency(dims40, beta):
 def test_ladders_algebra(dims40):
     p = RabiParams(1.0, 0.3, 0.1)
     b = build_basis(p, 5, dims40)
-    a_plus, a_minus = (b.expand(b.reduced_ladder(sector)) for sector in "+-")
+    a_plus, a_minus = (expand(b, b.reduced_ladder(sector)) for sector in "+-")
     # sector projectors 1_+- from the reduced ordering: minus ladder first
     minus = np.repeat([1.0, 0.0], 5)
-    proj_plus, proj_minus = b.expand(np.diag(1.0 - minus)), b.expand(np.diag(minus))
+    proj_plus, proj_minus = expand(b, np.diag(1.0 - minus)), expand(b, np.diag(minus))
     assert max_abs(a_plus @ b.state(1, "+") - b.state(0, "+")) < 1e-12
     for n in range(5):
         assert np.linalg.norm(a_plus @ b.state(n, "-")) < 1e-12
@@ -136,14 +147,14 @@ def test_ladders_algebra(dims40):
 def test_dressed_hamiltonian(dims40):
     p = RabiParams(1.0, 0.15, 0.1)
     b = build_basis(p, 6, dims40, energy_mode="truncated")
-    h_ad = b.expand(b.reduced_hamiltonian())
+    h_ad = expand(b, b.reduced_hamiltonian())
     for n in range(6):
         for sector, energy in (("-", b.energies_minus[n]), ("+", b.energies_plus[n])):
             ket = b.state(n, sector)
             assert np.linalg.norm(h_ad @ ket - energy * ket) < 1e-12
     # beta = 0 limit: omega a^dag a + omega0 sigma_z / 2 on the retained span
     b0 = build_basis(RabiParams(1.0, 0.15, 0.0), 6, dims40, energy_mode="truncated")
-    h0 = b0.expand(b0.reduced_hamiltonian())
+    h0 = expand(b0, b0.reduced_hamiltonian())
     a = annihilation(dims40)
     h_expected = 1.0 * a.conj().T @ a + 0.075 * qubit_op("sigma_z", dims40)
     v = b0.isometry
@@ -179,7 +190,7 @@ def test_dressed_matrix_elements(dims40):
     # the expanded operator agrees with the numeric sandwich on every pair
     v = b.isometry
     numeric = v.conj().T @ x @ v
-    assembled = v.conj().T @ b.expand(x_reduced) @ v
+    assembled = v.conj().T @ expand(b, x_reduced) @ v
     assert max_abs(numeric - assembled) < 1e-9
 
     sx_reduced = cross + cross.conj().T

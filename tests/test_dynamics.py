@@ -33,7 +33,7 @@ from dressedrabi.lindblad import (
 )
 from dressedrabi.rabi import RabiParams, ground_state
 
-from conftest import fig3_params, random_density
+from conftest import expand, fig3_params, random_density
 from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state, rk4_time_average
 
 
@@ -234,18 +234,19 @@ def test_eigenvalue_floor_tolerates_rounding_but_not_negativity(dims40, exact):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_non_finite_initial_state_is_refused(dims40, exact):
-    # and a horizon or step that is not finite, or out of range
+    # and a horizon, step or stride that is not finite, or out of range
     me = zero_temperature_dme(_basis(dims40), _moderate_rates()[0])
     rho0 = np.zeros((12, 12), dtype=complex)
     rho0[0, 0] = 1.0
     bad = rho0.copy()
     bad[0, 6] = np.nan
-    cases = [(bad, 1.0, 0.02, "non-finite")]
-    cases += [(rho0, t_end, 0.02, "t_end") for t_end in (math.nan, math.inf, -1.0)]
-    cases += [(rho0, 1.0, dt, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
-    for state, t_end, dt, match in cases:
+    cases = [(bad, 1.0, 0.02, 5, "non-finite")]
+    cases += [(rho0, t_end, 0.02, 5, "t_end") for t_end in (math.nan, math.inf, -1.0)]
+    cases += [(rho0, 1.0, dt, 5, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
+    cases += [(rho0, 1.0, 0.02, stride, "stride") for stride in (0, -1)]
+    for state, t_end, dt, stride, match in cases:
         with pytest.raises(ValueError, match=match):
-            evolve(me, state, t_end, dt, stride=5, exact=exact)
+            evolve(me, state, t_end, dt, stride=stride, exact=exact)
 
 
 def test_non_finite_system_is_refused_before_the_dense_retry():
@@ -275,7 +276,7 @@ def test_ground_readout_matches_stored_states():
             stored = evolve(me, rho0, 1.0, 0.01, stride=10, exact=exact)
             assert light.states is None and len(light.times) == len(stored.states) == 11
             expected = np.array([np.real(ground(s)) for s in stored.states])
-            assert max_abs(light.observables["ground"] - expected) < 1e-14, (me.metadata["kind"], exact)
+            assert max_abs(light.observables["ground"] - expected) < 1e-14, (me.dim, exact)
 
 
 def test_full_space_initial_state_is_projected(dims40):
@@ -309,7 +310,7 @@ def test_nullspace_ground_state(dims40):
     b = _basis(dims40)
     rates, _, _ = _moderate_rates()
     ss = steady_state_nullspace(zero_temperature_dme(b, rates))
-    assert ss.method == "nullspace" and ss.metadata["solve"] == "splu"
+    assert ss.metadata["solve"] == "splu"
     assert np.real(ss.rho[0, 0]) > 1.0 - 1e-10
     assert ss.residual < 1e-10 * 0.3
 
@@ -338,7 +339,7 @@ def test_nullspace_singular_factor_falls_back():
     ss = steady_state_nullspace(me)
     assert abs(np.trace(ss.rho) - 1.0) < 1e-12
     assert ss.residual <= 1e-10 * 3.0
-    assert ss.method == "nullspace" and ss.metadata["solve"] == "lstsq"
+    assert ss.metadata["solve"] == "lstsq"
     # above 2500 unknowns (d = 51 here) the dense retry is refused, not allocated
     big = MasterEquation(hamiltonian=np.diag(np.arange(51.0)).astype(complex))
     with pytest.raises(NumericsError, match="dense retry"):
@@ -371,7 +372,6 @@ def test_timeaveraged_consistency_no_tone(dims40):
     # a zero tone decouples the harmonics: rho_0 is the nullspace state from K = 2 on, so K stops at 3
     ss_t = steady_state_timeaveraged(me, np.zeros((me.dim, me.dim), dtype=complex), 0.29)
     assert trace_distance(ss_n.rho, ss_t.rho) < 1e-12
-    assert ss_t.method == "timeaveraged"
     assert ss_t.metadata["harmonics"] == 3 and ss_t.metadata["k_change"] <= 1e-8
 
 
@@ -453,7 +453,7 @@ def test_observables_and_expansion(dims40):
     rho_c = np.outer(ket, ket.conj())
     assert abs(observables(rho_c, b)["n_minus"] - 0.49) < 1e-6
     # expansion back to the full space preserves the observables
-    full = b.expand(rho_c)
+    full = expand(b, rho_c)
     assert full.shape == (dims40.total_dim, dims40.total_dim)
     obs_full = observables(full, b)
     assert abs(obs_full["n_minus"] - 0.49) < 1e-6

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import importlib.util
 import json
@@ -58,6 +59,29 @@ def test_every_exported_name_has_a_caller():
             if not any(word.search(line) and not own.match(line) for line in lines):
                 uncalled.append(name)
     assert not uncalled, f"public names with no caller: {sorted(set(uncalled))}"
+
+
+def test_every_public_method_has_a_caller():
+    # the same for the methods and properties of exported classes: a method must be
+    # called (".name("), a property read (".name")
+    lines = _caller_lines()
+    uncalled = set()
+    for module in ["", *MODULES]:
+        mod = importlib.import_module(f"dressedrabi.{module}" if module else "dressedrabi")
+        classes = [getattr(mod, name) for name in mod.__all__ if isinstance(getattr(mod, name), type)]
+        for cls in classes:
+            for attr, value in vars(cls).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(value, (property, functools.cached_property)):
+                    use = re.compile(rf"\.{re.escape(attr)}\b")
+                elif callable(value) or isinstance(value, (classmethod, staticmethod)):
+                    use = re.compile(rf"\.{re.escape(attr)}\(")
+                else:
+                    continue
+                if not any(use.search(line) for line in lines):
+                    uncalled.add(f"{cls.__name__}.{attr}")
+    assert not uncalled, f"public methods with no caller: {sorted(uncalled)}"
 
 
 def test_only_the_liouvillian_builds_superoperators():

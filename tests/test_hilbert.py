@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_displacement_identity_and_vacuum_overlap(dims40):
 def test_displacement_unitarity(dims40):
     d = osc_displacement(0.2, dims40.n_cut)
     assert max_abs(d @ osc_displacement(-0.2, dims40.n_cut) - np.eye(dims40.n_cut)) < 1e-10
+    # the truncated generator is anti-Hermitian, so D is unitary on the whole truncated
+    # space, however large alpha is against n_cut (which only warns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for n_cut in (2, 5, 40):
+            for alpha in (0.2, 3.0, 10.0, 1 + 2j):
+                d = osc_displacement(alpha, n_cut)
+                assert max_abs(d.conj().T @ d - np.eye(n_cut)) < 1e-12, (alpha, n_cut)
 
 
 def test_displacement_composition(dims40):

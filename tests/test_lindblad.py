@@ -18,7 +18,7 @@ from dressedrabi.lindblad import (
 )
 from dressedrabi.rabi import RabiParams, ground_state
 
-from conftest import basis_ket, fig3_params, fig3_rates, random_density
+from conftest import basis_ket, expand, fig3_params, fig3_rates, random_density
 from dense_reference import dissipator_apply
 
 
@@ -141,7 +141,7 @@ def test_finite_t_requires_temperature(basis):
 
 
 def test_dephasing_operator(dims40, basis):
-    sz = basis.expand(basis.reduced_dephasing_op())
+    sz = expand(basis, basis.reduced_dephasing_op())
     v = basis.isometry
     red = v.conj().T @ sz @ v
     beta = basis.params.beta
@@ -226,7 +226,6 @@ def test_corotating_two_tone_detunings(basis):
     rates = fig3_rates()
     ws = basis.omega_tilde[0]
     me = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, 0.0003, ws)
-    assert me.metadata["frame"] == "pump+probe"
     h = me.hamiltonian
     # pair splitting becomes omega_tilde_N - omega_s: zero on rung 0
     assert abs((h[12, 12] - h[0, 0]).real - 0.0) < 1e-15
@@ -238,6 +237,8 @@ def test_corotating_two_tone_detunings(basis):
     assert all(a.label == b.label and a.rate == b.rate for a, b in zip(me.jumps, pump_only.jumps))
     assert len(me.jumps) == len(pump_only.jumps)
     assert max_abs((h - pump_only.hamiltonian)[:12, :12] - 0.5 * ws * np.eye(12)) < 1e-15
+    # the pump+probe frame: the diagonal gains omega_s (1_- - 1_+)/2
+    assert max_abs(np.diag(h - pump_only.hamiltonian) - ws * np.repeat([0.5, -0.5], 12)) < 1e-15
     with pytest.raises(ValueError):
         driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, spec_amp=0.0003)
 

@@ -49,7 +49,7 @@ from dressedrabi.lindblad import (
 )
 from dressedrabi.rabi import RabiParams
 
-from conftest import random_density
+from conftest import expand, random_density
 from dense_reference import dense_liouvillian, dense_steady_state
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -185,7 +185,7 @@ def test_dme_is_the_bare_operator_me_at_zero_coupling(omega0, n_levels, big, sma
     dme = zero_temperature_dme(b, rates)
     sme = standard_master_equation(b.params, rates, b.dims)
     rho = np.diag(np.random.default_rng(seed).dirichlet(np.ones(b.reduced_dim))).astype(complex)
-    assert max_abs(b.reduce(sme.rhs(b.expand(rho))) - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
+    assert max_abs(b.reduce(sme.rhs(expand(b, rho))) - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
 
 
 @PROFILE

@@ -71,9 +71,16 @@ def test_dissipated_power():
                                    omega_s_grid=[0.29, np.nan]),
         lambda: dissipated_power(np.nan, 1.0, 0.1),
         lambda: dissipated_power(np.inf, 1.0, 0.1),
+        lambda: dissipated_power(1.0, np.nan, 0.1),
+        lambda: dissipated_power(1.0, np.inf, 0.1),
+        lambda: dissipated_power(1.0, 1.0, np.nan),
+        lambda: dissipated_power(1.0, 1.0, np.inf),
+        lambda: dissipated_power(1.0, 1.0, -0.1),
+        lambda: dissipated_power(1.0, 1.0, lambda w: np.nan),
     ],
     ids=["omega-nan", "omega-inf", "omega0-nan", "omega0-inf", "beta-nan", "beta-inf", "grid-nan",
-         "power-nan", "power-inf"],
+         "power-nan", "power-inf", "power-omega-nan", "power-omega-inf", "power-rate-nan", "power-rate-inf",
+         "power-rate-negative", "power-rate-function-nan"],
 )
 def test_non_finite_inputs_are_refused(build):
     # each guard is a comparison that NaN fails
