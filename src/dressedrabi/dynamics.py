@@ -10,6 +10,7 @@ reduced generator.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -212,8 +213,8 @@ def evolve(
         raise ValueError(f"t_end = {t_end} must be finite and >= 0")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt = {dt} must be finite and > 0")
-    if not stride >= 1:
-        raise ValueError(f"stride = {stride} must be >= 1")
+    if not (isinstance(stride, numbers.Integral) and stride >= 1):
+        raise ValueError(f"stride = {stride} must be an integer >= 1")
     rho, leakage = _prepare_state(me, rho0)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))

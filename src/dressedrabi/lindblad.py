@@ -2,9 +2,9 @@
 
 A :class:`MasterEquation` is time independent: a Hamiltonian and a list of
 weighted jump operators (pure dephasing is one of them, the Hermitian jump
-S_z).  Drives enter in a rotating frame; the one time-dependent tone, the
-spectroscopy probe of the time-averaged solver, is passed to that solver
-directly.  Generators built from a :class:`DressedBasis` carry it and are
+S_z).  The pump enters in its rotating frame; the spectroscopy probe is
+added to the pumped generator by ``spectroscopy``, in either of its two
+solvers.  Generators built from a :class:`DressedBasis` carry it and are
 stored in its exact reduced dressed coordinates, where the retained subspace
 is the whole representation; the bare-operator generator lives on the full
 truncated space.
@@ -266,40 +266,11 @@ def gibbs_state(b: DressedBasis, temperature: float) -> np.ndarray:
     return np.diag(weights / weights.sum()).astype(complex)
 
 
-def _pump_frame_hamiltonian(
-    b: DressedBasis,
-    pump_amp: float,
-    pump_freq: float,
-    spec_amp: float,
-    spec_freq: float | None,
-) -> np.ndarray:
-    """H_AD - omega_p (a_+^dag a_+ + a_-^dag a_-) + pump drive, optionally probe-rotated.
-
-    Equals Delta_+- a_+-^dag a_+- plus the dressed-pair splitting
-    (omega0/2)(1-2 beta^2)(1_+ - 1_-); the splitting term is invisible to any
-    state confined to one ladder but sets the resonance condition for drives
-    that connect the ladders.  With a probe, the splitting is rotated at
-    omega_s, which replaces it by its detuning (omega0(1-2 beta^2) - omega_s)/2
-    and makes the cross-ladder probe term static.
-    """
-    n = np.arange(b.n_levels, dtype=float)
-    half = b.params.half_splitting
-    diag = np.concatenate([n * (b.omega_minus - pump_freq) - half, n * (b.omega_plus - pump_freq) + half])
-    h = np.diag(diag).astype(complex)
-    drive = b.reduced_ladder("+") + b.reduced_ladder("-")
-    h += pump_amp * (drive + drive.conj().T)
-    if spec_freq is not None:
-        h += spec_freq * _probe_frame_op(b) + _cross_drive_op(b, spec_amp)
-    return h
-
-
 def driven_rotating_dme(
     b: DressedBasis,
     rates: RateFunctions,
     pump_amp: float,
     pump_freq: float,
-    spec_amp: float = 0.0,
-    spec_freq: float | None = None,
 ) -> MasterEquation:
     """Pumped dressed master equation in the frame rotating at the pump frequency.
 
@@ -309,15 +280,10 @@ def driven_rotating_dme(
     kappa = gamma(omega_tilde_N) + 4 beta^2 Gamma(omega_tilde_N), and pure
     dephasing acts through the jump (gamma_f, S_z).  Time independent.
 
-    With ``spec_freq`` set, the generator is the two-tone one in the pump +
-    probe co-rotating frame, carrying the cross-ladder probe of amplitude
-    ``spec_amp``.  The counter-rotating probe component at 2 omega_s is
-    dropped; its relative weight is (2 beta Omega_s / 2 omega_s)^2.  Ladder
-    occupations are frame invariants, so steady excitation numbers computed
-    here match the time-averaged two-tone dynamics.
+    The Hamiltonian also carries the dressed-pair splitting
+    (omega0/2)(1-2 beta^2)(1_+ - 1_-): invisible to a state confined to one
+    ladder, it sets the resonance of drives that connect the ladders.
     """
-    if spec_freq is None and spec_amp != 0.0:
-        raise ValueError("a probe amplitude needs a probe frequency spec_freq")
     jumps = _dme_jumps(b, rates)
     gp, gm = jumps[0].rate, jumps[1].rate
     if abs(gp - gm) > 1e-12 * max(gp, gm, 1e-300):
@@ -335,25 +301,14 @@ def driven_rotating_dme(
         )
     if rates.gamma_f > 0:
         jumps.append(JumpTerm(rates.gamma_f, b.reduced_dephasing_op(), 0.0, "dephasing"))
+    n = np.arange(b.n_levels, dtype=float)
+    half = b.params.half_splitting
+    diag = np.concatenate([n * (b.omega_minus - pump_freq) - half, n * (b.omega_plus - pump_freq) + half])
+    h = np.diag(diag).astype(complex)
+    drive = b.reduced_ladder("+") + b.reduced_ladder("-")
+    h += pump_amp * (drive + drive.conj().T)
     return MasterEquation(
-        hamiltonian=_pump_frame_hamiltonian(b, pump_amp, pump_freq, spec_amp, spec_freq),
+        hamiltonian=h,
         jumps=jumps,
         basis=b,
     )
-
-
-def _cross_drive_op(b: DressedBasis, spec_amp: float) -> np.ndarray:
-    """The spectroscopy probe's pump-frame operator -2 beta Omega_s (sum_N |Psi_N^-><Psi_N^+| + h.c.).
-
-    Only this cross-ladder component of the probe survives in the pump frame:
-    it connects equal-N states, so the frame rotation leaves it invariant.  The
-    intra-ladder components, detuned by |omega_s - omega_p| of order the
-    oscillator-qubit gap, are dropped.
-    """
-    cross = sum(b.reduced_cross(n) for n in range(b.n_levels))
-    return -2.0 * b.params.beta * spec_amp * (cross + cross.conj().T)
-
-
-def _probe_frame_op(b: DressedBasis) -> np.ndarray:
-    """The probe frame's generator F = (1_- - 1_+)/2: rotating at omega_s adds omega_s F to H."""
-    return np.diag(np.repeat([0.5, -0.5], b.n_levels))

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adiabatic import build_basis
+from .adiabatic import DressedBasis, build_basis
 from .hilbert import SpaceDims
-from .lindblad import MasterEquation, RateFunctions, _cross_drive_op, _probe_frame_op, driven_rotating_dme
+from .lindblad import MasterEquation, RateFunctions, driven_rotating_dme
 from .dynamics import (
     NumericsError,
     _solve_liouvillian,
@@ -66,6 +66,23 @@ def default_scan_grid(p: RabiParams, n_points: int = 241, span: tuple[float, flo
     """Probe grid uniform in the normalized detuning (omega0 - omega_s)/(2 omega0 beta^2)."""
     u = np.linspace(span[0], span[1], n_points)
     return p.omega0 - u * 2.0 * p.omega0 * p.beta**2
+
+
+def _cross_drive_op(b: DressedBasis, spec_amp: float) -> np.ndarray:
+    """The spectroscopy probe's pump-frame operator -2 beta Omega_s (sum_N |Psi_N^-><Psi_N^+| + h.c.).
+
+    Only this cross-ladder component of the probe survives in the pump frame:
+    it connects equal-N states, so the frame rotation leaves it invariant.  The
+    intra-ladder components, detuned by |omega_s - omega_p| of order the
+    oscillator-qubit gap, are dropped.
+    """
+    cross = sum(b.reduced_cross(n) for n in range(b.n_levels))
+    return -2.0 * b.params.beta * spec_amp * (cross + cross.conj().T)
+
+
+def _probe_frame_op(b: DressedBasis) -> np.ndarray:
+    """The probe frame's generator F = (1_- - 1_+)/2: rotating at omega_s adds omega_s F to H."""
+    return np.diag(np.repeat([0.5, -0.5], b.n_levels))
 
 
 @dataclass
@@ -119,15 +136,19 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     """Scan the probe over the grid and report the steady excitation reduction.
 
     The baseline is the no-probe steady state with dephasing included, so the
-    percent reduction isolates the probe's effect.  Point solver: the
-    time-independent pump+probe co-rotating generator by default, built once
-    per pump: H(omega_s) = H(0) + omega_s F, F = (1_- - 1_+)/2, so each point
-    solves L(0) + omega_s B with B = -i[F, .], F's ``MasterEquation.liouvillian``.
+    percent reduction isolates the probe's effect.  The probe's cross-ladder
+    tone A is built once per pump.  Point solver: the time-independent
+    pump+probe co-rotating generator by default.  Rotating at omega_s adds
+    omega_s F, F = (1_- - 1_+)/2, to H and makes A static, so each point
+    solves L(0) + omega_s B, L(0) = pumped L + tone, B = -i[F, .].  It drops
+    the probe's 2 omega_s counter-rotating component, of relative weight
+    (2 beta Omega_s / 2 omega_s)^2; ladder occupations are frame invariants,
+    so its excitation numbers match the time-averaged two-tone dynamics.
     Or the exact period average of the pump-frame generator plus the probe
-    tone H(t) = 2 cos(omega_s t) A, A Hermitian (``solver="timeaveraged"``),
-    which keeps the probe's counter-rotating component: one harmonic solve
-    per point, ~40x the cost (0.24 s against 6 ms at ``n_levels=12``).
-    Per-point numeric failures are recorded and the scan continues.
+    tone H(t) = 2 cos(omega_s t) A (``solver="timeaveraged"``), which keeps
+    that component: one harmonic solve per point, ~40x the cost (0.24 s
+    against 6 ms at ``n_levels=12``).  Per-point numeric failures are
+    recorded and the scan continues.
     """
     resonances = predicted_resonances(cfg.params, cfg.n_levels)  # refuses beta = 0 before any solve
     basis = build_basis(cfg.params, cfg.n_levels, cfg.dims, energy_mode="truncated")
@@ -139,13 +160,13 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     if baseline <= 0:
         raise ValueError("baseline excitation number is not positive; is the pump on?")
 
+    tone = _cross_drive_op(basis, cfg.spec_amp)
     if cfg.solver == "corotating":
         # the probe frame at omega_s = 0, and B = -i[F, .] of the frame's generator F
-        point_me = driven_rotating_dme(basis, cfg.rates, cfg.pump_amp, pump_freq, cfg.spec_amp, 0.0)
+        point_me = replace(baseline_me, hamiltonian=baseline_me.hamiltonian + tone)
         op = MasterEquation(_probe_frame_op(basis)).liouvillian()
     else:
-        # the probe tone: H(t) = 2 cos(omega_s t) times this Hermitian cross-ladder operator
-        point_me, op = baseline_me, _cross_drive_op(basis, cfg.spec_amp)
+        point_me, op = baseline_me, tone
     n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
     for idx, ws in enumerate(cfg.omega_s_grid):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dressedrabi.hilbert import SpaceDims
-from dressedrabi.lindblad import RateFunctions
+from dressedrabi.lindblad import MasterEquation, RateFunctions
 from dressedrabi.rabi import RabiParams
 
 
@@ -39,6 +39,18 @@ def fig3_rates(gamma_f_scale: float = 1.0) -> RateFunctions:
     kappa = big / 6.0
     small = kappa - 4.0 * p.beta**2 * big
     return RateFunctions.flat(big, small, gamma_f=gamma_f_scale * big / 3.0)
+
+
+def probe_frame_generator(pump: MasterEquation, tone: np.ndarray, omega_s: float) -> MasterEquation:
+    """The pump+probe co-rotating generator assembled in full at one omega_s.
+
+    Rotating the pumped generator ``pump`` at omega_s adds omega_s F,
+    F = (1_- - 1_+)/2, to its Hamiltonian and makes the cross-ladder probe
+    ``tone`` static; the jumps are the pump's.  The slow reference of the
+    scan's L(0) + omega_s B.
+    """
+    frame = np.diag(np.repeat([0.5, -0.5], pump.dim // 2))
+    return MasterEquation(pump.hamiltonian + omega_s * frame + tone, pump.jumps, pump.basis)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

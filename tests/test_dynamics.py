@@ -24,7 +24,6 @@ from dressedrabi.hilbert import SpaceDims, max_abs, trace_distance
 from dressedrabi.lindblad import (
     MasterEquation,
     RateFunctions,
-    _cross_drive_op,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -32,8 +31,9 @@ from dressedrabi.lindblad import (
     zero_temperature_dme,
 )
 from dressedrabi.rabi import RabiParams, ground_state
+from dressedrabi.spectroscopy import _cross_drive_op
 
-from conftest import expand, fig3_params, random_density
+from conftest import expand, fig3_params, probe_frame_generator, random_density
 from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state, rk4_time_average
 
 
@@ -243,10 +243,13 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
     cases = [(bad, 1.0, 0.02, 5, "non-finite")]
     cases += [(rho0, t_end, 0.02, 5, "t_end") for t_end in (math.nan, math.inf, -1.0)]
     cases += [(rho0, 1.0, dt, 5, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
-    cases += [(rho0, 1.0, 0.02, stride, "stride") for stride in (0, -1)]
+    # a fractional stride would sample where taken % stride == 0: every 3rd step at 1.5
+    cases += [(rho0, 1.0, 0.02, stride, "stride") for stride in (0, -1, 1.5, 2.5)]
     for state, t_end, dt, stride, match in cases:
         with pytest.raises(ValueError, match=match):
             evolve(me, state, t_end, dt, stride=stride, exact=exact)
+    # a numpy integer is a stride
+    assert len(evolve(me, rho0, 0.2, 0.02, stride=np.int64(2), exact=exact).times) == 6
 
 
 def test_non_finite_system_is_refused_before_the_dense_retry():
@@ -385,10 +388,11 @@ def test_timeaveraged_matches_corotating_on_resonance(dims40):
     b = _basis(dims40, n_levels=8)
     rates, big, kappa = _moderate_rates(gamma_f=0.02)
     ws = float(b.omega_tilde[0])
-    fast = driven_rotating_dme(b, rates, big / 2, b.omega_minus, kappa, ws)
+    pump, tone = _probed(b, rates, big / 2, kappa)
+    fast = probe_frame_generator(pump, tone, ws)
     n_fast = observables(steady_state_nullspace(fast).rho, b)["n_total"]
 
-    slow = steady_state_timeaveraged(*_probed(b, rates, big / 2, kappa), ws)
+    slow = steady_state_timeaveraged(pump, tone, ws)
     n_slow = observables(slow.rho, b)["n_total"]
     assert abs(n_fast - n_slow) / n_fast < 3e-3
     assert slow.metadata["harmonics"] >= 3 and slow.metadata["k_change"] <= 1e-8

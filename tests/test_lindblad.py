@@ -17,8 +17,9 @@ from dressedrabi.lindblad import (
     zero_temperature_dme,
 )
 from dressedrabi.rabi import RabiParams, ground_state
+from dressedrabi.spectroscopy import _cross_drive_op
 
-from conftest import basis_ket, expand, fig3_params, fig3_rates, random_density
+from conftest import basis_ket, expand, fig3_params, fig3_rates, probe_frame_generator, random_density
 from dense_reference import dissipator_apply
 
 
@@ -225,7 +226,8 @@ def test_coherent_steady_state_of_driven_generator(basis):
 def test_corotating_two_tone_detunings(basis):
     rates = fig3_rates()
     ws = basis.omega_tilde[0]
-    me = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, 0.0003, ws)
+    pump_only = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus)
+    me = probe_frame_generator(pump_only, _cross_drive_op(basis, 0.0003), ws)
     h = me.hamiltonian
     # pair splitting becomes omega_tilde_N - omega_s: zero on rung 0
     assert abs((h[12, 12] - h[0, 0]).real - 0.0) < 1e-15
@@ -233,14 +235,11 @@ def test_corotating_two_tone_detunings(basis):
     # the static probe: -2 beta Omega_s on every equal-N cross element
     assert abs(h[0, 12] - (-2 * 0.1 * 0.0003)) < 1e-18
     # the probe leaves the jumps and the intra-ladder Hamiltonian of the pump frame alone
-    pump_only = driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus)
     assert all(a.label == b.label and a.rate == b.rate for a, b in zip(me.jumps, pump_only.jumps))
     assert len(me.jumps) == len(pump_only.jumps)
     assert max_abs((h - pump_only.hamiltonian)[:12, :12] - 0.5 * ws * np.eye(12)) < 1e-15
     # the pump+probe frame: the diagonal gains omega_s (1_- - 1_+)/2
     assert max_abs(np.diag(h - pump_only.hamiltonian) - ws * np.repeat([0.5, -0.5], 12)) < 1e-15
-    with pytest.raises(ValueError):
-        driven_rotating_dme(basis, rates, 0.0009, basis.omega_minus, spec_amp=0.0003)
 
 
 def test_validation_guards(dims40, basis):

@@ -40,7 +40,6 @@ from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
     RateFunctions,
-    _cross_drive_op,
     driven_rotating_dme,
     finite_temperature_dme,
     gibbs_state,
@@ -48,6 +47,7 @@ from dressedrabi.lindblad import (
     zero_temperature_dme,
 )
 from dressedrabi.rabi import RabiParams
+from dressedrabi.spectroscopy import _cross_drive_op
 
 from conftest import expand, random_density
 from dense_reference import dense_liouvillian, dense_steady_state

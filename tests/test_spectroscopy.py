@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from dressedrabi.spectroscopy import (
     run_scan,
 )
 
-from conftest import fig3_params, fig3_rates
+from conftest import fig3_params, fig3_rates, probe_frame_generator
 
 
 def _u(p, omega_s):
@@ -46,6 +48,20 @@ def test_run_scan_refuses_zero_coupling_before_any_solve(monkeypatch):
                              spec_amp=1e-4, omega_s_grid=[0.28, 0.3], n_levels=4)
     with pytest.raises(ValueError, match="beta = 0"):
         run_scan(cfg)
+
+
+def test_a_pump_warns_once_per_flat_spectrum_assumption():
+    # the pumped generator, and with it its jump list, is built once per pump
+    p = fig3_params()
+    cfg = SpectroscopyConfig(params=p, rates=RateFunctions(Gamma=lambda w: 1e-3 * w, gamma=1e-4), pump_amp=1e-3,
+                             spec_amp=1e-4, omega_s_grid=default_scan_grid(p, 2), n_levels=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_scan(cfg)
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 2
+    assert sum(m.startswith("Gamma(omega_+) != Gamma(omega_-)") for m in messages) == 1
+    assert sum(m.startswith("cross-ladder rate kappa varies with N") for m in messages) == 1
 
 
 def test_dissipated_power():
@@ -266,8 +282,10 @@ def test_scan_reuses_the_probe_frame_generator():
     )
     res = run_scan(cfg)
     basis = build_basis(p, cfg.n_levels, cfg.dims, energy_mode="truncated")
+    pump = driven_rotating_dme(basis, rates, cfg.pump_amp, basis.omega_minus)
+    tone = spectroscopy._cross_drive_op(basis, cfg.spec_amp)
     for ws, n_ss in zip(cfg.omega_s_grid, res.n_ss):
-        me = driven_rotating_dme(basis, rates, cfg.pump_amp, basis.omega_minus, cfg.spec_amp, float(ws))
+        me = probe_frame_generator(pump, tone, float(ws))
         assert abs(observables(steady_state_nullspace(me).rho, basis)["n_total"] - n_ss) <= 1e-12
 
 
