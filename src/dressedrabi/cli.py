@@ -395,6 +395,22 @@ def cmd_drive(cfg: dict) -> dict:
     return {"files": {"drive.csv": table}, "meta": {"pump_freq": pump_freq}}
 
 
+def _point_solve_summary(result) -> dict:
+    """What one pump's point solves did: the count per path, the largest residual and
+    clipped weight, and the points that left the path every point tries first."""
+    solved = [(idx, rec) for idx, rec in enumerate(result.metadata["point_solves"]) if rec is not None]
+    paths = [rec["solve"] for _, rec in solved]
+    return {
+        "label_n_ss": result.metadata["label_n_ss"],
+        "baseline_residual": result.metadata["baseline_residual"],
+        "point_solver": result.metadata["point_solver"],
+        "paths": {path: paths.count(path) for path in sorted(set(paths))},
+        "residual_max": max((rec["residual"] for _, rec in solved), default=None),
+        "clipped_weight_max": max((rec["clipped_weight"] for _, rec in solved), default=None),
+        "fallback_points": [idx for idx, rec in solved if rec["solve"] != result.metadata["point_solver"]],
+    }
+
+
 def cmd_spectroscopy(cfg: dict) -> dict:
     p = _params(cfg)
     dims = SpaceDims(cfg["n_cut"])
@@ -454,7 +470,8 @@ def cmd_spectroscopy(cfg: dict) -> dict:
     )
     meta = {
         "failures": failures,
-        "scan_metadata": results[0].metadata,
+        "scan_metadata": {key: val for key, val in results[0].metadata.items() if key != "point_solves"},
+        "point_solves": [_point_solve_summary(result) for result in results],
         "baselines": [r.baseline_n_ss for r in results],
         "predicted_resonances": results[0].predicted_resonances,
         "ignored_keys": ignored,

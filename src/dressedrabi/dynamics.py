@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import expm_multiply, splu
 
 from .adiabatic import DressedBasis
@@ -336,6 +338,13 @@ _DENSE_MAX = 2500
 _RESIDUAL_TOL = 1e-10
 
 
+def _clip_in_place(v: np.ndarray, d: int):
+    """Hermitize and clip the rho_0 in v, write it back, and return it with the clipped weight."""
+    rho, clipped = _clip_and_report(_unvec(v[: d * d], d))
+    v[: d * d] = rho.reshape(-1, order="F")
+    return rho, clipped
+
+
 def _solve_liouvillian(system, d: int, scale: float):
     """Steady state of a sparse system whose first d^2 unknowns are vec(rho_0).
 
@@ -347,15 +356,14 @@ def _solve_liouvillian(system, d: int, scale: float):
     ``SteadyState`` of rho_0 whose residual is max|M v - b| of the folded
     system with the clipped rho_0 in v, which for a unit-trace rho_0 is
     max|system v|.  Its ``metadata`` records ``clipped_weight`` and
-    ``solve``, the path that ran: ``"splu"`` or ``"lstsq"``.
+    ``solve``, the path that ran: ``"splu"`` or ``"lstsq"`` here, or
+    ``"schur"`` for a point of ``_shifted_solver`` that needed no retry.
     """
     n = system.shape[0]
-    rows, cols = np.zeros(d, dtype=int), np.arange(d) * (d + 1)  # row 0, the diagonal of rho_0
-    fold = sparse.csc_matrix((np.full(d, scale, dtype=complex), (rows, cols)), shape=(n, n))
+    fold = _trace_fold(n, d, scale)
 
     def finish(v):
-        rho, clipped = _clip_and_report(_unvec(v[: d * d], d))
-        v[: d * d] = rho.reshape(-1, order="F")
+        rho, clipped = _clip_in_place(v, d)
         return rho, float(max_abs(system @ v)), clipped
 
     if not np.isfinite(system.data).all():
@@ -388,6 +396,129 @@ def _solve_liouvillian(system, d: int, scale: float):
                 "the generator may have a degenerate steady family"
             )
     return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path})
+
+
+def _trace_fold(n: int, d: int, scale: float) -> sparse.csc_matrix:
+    """The unit-trace row of rho_0, weighted by ``scale``, as an n x n matrix with only row 0 set."""
+    rows, cols = np.zeros(d, dtype=int), np.arange(d) * (d + 1)  # row 0, the diagonal of rho_0
+    return sparse.csc_matrix((np.full(d, scale, dtype=complex), (rows, cols)), shape=(n, n))
+
+
+def _schur_pays(m: int, n_points: int) -> bool:
+    """Whether ``_shifted_solver``'s Schur path beats per-point splu for m real cross-sector unknowns.
+
+    Measured with one BLAS thread on a loaded 2-core x86 machine, for the
+    default pump and probe at the paper's rates (beta = 0.1 at n_levels = 12,
+    0.05 above) and 21 probe points:
+
+        n_levels    m   Schur set-up  Schur per point  splu per point  break-even
+        12        288   0.085 s       1.2 ms           7.1 ms            14 points
+        18        648   0.69 s        4.1 ms           18.2 ms           49 points
+        24       1152   2.7 s         13.1 ms          35.7 ms          120 points
+        30       1800   8.8 s         29.4 ms          68.7 ms          225 points
+
+    A prototype of this kernel on a quieter machine broke even at 11, 54, 157
+    and 301 points.
+    Both fit about (m/90)^2 or less; the rule asks for (m/72)^2, 1.56 times
+    that, and caps m at the dense retry's ``_DENSE_MAX``.
+    """
+    return m <= _DENSE_MAX and n_points >= (m / 72) ** 2
+
+
+# columns of the Schur complement formed per block, so no dense |S| x m solve is ever held
+_SCHUR_BLOCK = 32
+
+
+def _shifted_solver(system, shift, d: int, scale: float, n_points: int):
+    """Steady states of ``system + omega * shift`` at n_points omega: returns (solve, path).
+
+    ``solve(omega)`` returns the ``SteadyState``; ``path`` names what each
+    point tries first.  ``system`` is a Hermiticity-preserving d^2 x d^2
+    generator and ``shift`` a diagonal one, B = -i[F, .] for a diagonal F.
+
+    ``"schur"``, when ``_schur_pays``: the unknowns S where B vanishes (row 0
+    and the trace fold among them) are eliminated once, by one splu of M_SS,
+    the folded system restricted to S.  A Hermitian solution has rho_ji =
+    conj(rho_ij), so the cross-sector unknowns rho_ij, i < j, carry it, as m
+    real ones.  Their equations, divided by B, read (A + omega) w = z for a
+    real m x m Schur complement A, reduced once to real Schur form Z T Z^T
+    (the frequency-response problem: A. J. Laub, IEEE Trans. Autom. Control
+    26, 407 (1981)).  A point costs one quasi-triangular solve (LAPACK
+    ``dtrsyl``), one product with Z and one back-solve with M_SS, and is
+    Hermitized, clipped and checked like ``_solve_liouvillian``.  A point
+    whose residual max|(system + omega shift) v| exceeds ``_RESIDUAL_TOL *
+    scale`` is re-solved by ``_solve_liouvillian`` and records that path.
+    At most two dense m x m arrays are held: A, overwritten by T, and Z.
+
+    ``"splu"``, every point by ``_solve_liouvillian``: for a grid too short
+    for the set-up to pay, a non-finite system, a singular M_SS or a failed
+    Schur reduction.
+    """
+
+    def per_point(omega: float) -> SteadyState:
+        return _solve_liouvillian(system + omega * shift, d, scale)
+
+    n = system.shape[0]
+    diag = shift.diagonal()
+    cross = np.flatnonzero(diag)
+    upper = cross[cross % d < cross // d]  # rho_ij with i < j: index i + j d
+    h = upper.size
+    m = 2 * h
+    if not (h and _schur_pays(m, n_points) and np.isfinite(system.data).all()):
+        return per_point, "splu"
+    same = np.flatnonzero(diag == 0)
+    lower = upper // d + d * (upper % d)  # the transpose partners rho_ji
+    folded = (system + _trace_fold(n, d, scale)).tocsr()
+    rows_s, rows_u = folded[same], folded[upper]
+    m_su, m_sl, m_uu, m_ul = (rows[:, cols].tocsc() for rows in (rows_s, rows_u) for cols in (upper, lower))
+    m_us = rows_u[:, same].tocsc()
+    try:
+        lu = splu(rows_s[:, same].tocsc())
+    except RuntimeError:
+        # splu reports an exactly singular factor as a RuntimeError
+        return per_point, "splu"
+    inv_b = 1.0 / diag[upper]
+
+    def real_form(z: np.ndarray) -> np.ndarray:
+        return np.concatenate([z.real, z.imag])
+
+    # column k of A: x_ij = 1 and x_ji = 1 (Re rho_ij), column h + k: x_ij = i and x_ji = -i (Im rho_ij)
+    a = np.empty((m, m), order="F")
+    for start in range(0, h, _SCHUR_BLOCK):
+        cols = np.arange(start, min(start + _SCHUR_BLOCK, h))
+        for offset, (x_upper, x_lower) in ((0, (1.0, 1.0)), (h, (1j, -1j))):
+            s_block = (m_su[:, cols] * x_upper + m_sl[:, cols] * x_lower).toarray()
+            u_block = (m_uu[:, cols] * x_upper + m_ul[:, cols] * x_lower).toarray()
+            u_block -= m_us @ lu.solve(s_block)
+            a[:, offset + cols] = real_form(inv_b[:, None] * u_block)
+    if not np.isfinite(a).all():
+        return per_point, "splu"
+    try:
+        # LAPACK's least workspace: the optimal one raised the default spectroscopy run's peak RSS by 1.6 MB
+        t, q = schur(a, output="real", lwork=3 * m, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return per_point, "splu"
+    b_same = np.zeros(same.size, dtype=complex)
+    b_same[0] = scale  # row 0 is the first of S
+    y = lu.solve(b_same)
+    qz = real_form(-inv_b * (m_us @ y)) @ q
+
+    def solve(omega: float) -> SteadyState:
+        w, w_scale, _ = dtrsyl(t, np.array([[omega]]), qz[:, None])
+        w = q @ (w[:, 0] / w_scale)
+        x = w[:h] + 1j * w[h:]
+        v = np.empty(n, dtype=complex)
+        v[upper], v[lower] = x, x.conj()
+        v[same] = y - lu.solve(m_su @ x + m_sl @ x.conj())
+        if np.isfinite(v).all():
+            rho, clipped = _clip_in_place(v, d)
+            residual = float(max_abs(system @ v + omega * (diag * v)))
+            # written so that a NaN residual fails the check
+            if residual <= _RESIDUAL_TOL * scale:
+                return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": "schur"})
+        return per_point(omega)
+
+    return solve, "schur"
 
 
 def steady_state_nullspace(me: MasterEquation) -> SteadyState:

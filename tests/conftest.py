@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from dressedrabi.hilbert import SpaceDims
-from dressedrabi.lindblad import MasterEquation, RateFunctions
+from dressedrabi.lindblad import MasterEquation, RateFunctions, driven_rotating_dme
 from dressedrabi.rabi import RabiParams
+from dressedrabi.spectroscopy import _cross_drive_op
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,18 @@ def probe_frame_generator(pump: MasterEquation, tone: np.ndarray, omega_s: float
     """
     frame = np.diag(np.repeat([0.5, -0.5], pump.dim // 2))
     return MasterEquation(pump.hamiltonian + omega_s * frame + tone, pump.jumps, pump.basis)
+
+
+def scan_pump_system(b, rates: RateFunctions, pump_amp: float, spec_amp: float):
+    """One co-rotating scan pump: the generator L(0) (pump plus static probe tone) and the shift B.
+
+    A point at omega_s solves L(0) + omega_s B, B = -i[F, .] with the probe
+    frame's F = (1_- - 1_+)/2.
+    """
+    pump = driven_rotating_dme(b, rates, pump_amp, b.omega_minus)
+    point = MasterEquation(pump.hamiltonian + _cross_drive_op(b, spec_amp), pump.jumps, pump.basis)
+    frame = np.diag(np.repeat([0.5, -0.5], b.n_levels))
+    return point, MasterEquation(frame).liouvillian()
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -373,6 +373,40 @@ def test_spectroscopy_command(tmp_path):
     assert meta["ignored_keys"] == []
 
 
+def test_spectroscopy_sidecar_summarizes_every_pump(tmp_path, monkeypatch):
+    # n_levels=4 takes the Schur path at any grid length; the middle point of
+    # each pump is forced off it, and each pump's summary names that point
+    from dressedrabi import dynamics
+    from dressedrabi.rabi import RabiParams
+    from dressedrabi.spectroscopy import default_scan_grid
+
+    middle = default_scan_grid(RabiParams(1.0, 0.3, 0.1), 5, (0.5, 1.5))[2]
+    trsyl = dynamics.dtrsyl
+
+    def stand_in(t, shift_block, c):
+        x, scale, info = trsyl(t, shift_block, c)
+        return (1.01 * x if shift_block[0, 0] == middle else x), scale, info
+
+    monkeypatch.setattr(dynamics, "dtrsyl", stand_in)
+    cfg_path = write_config(tmp_path, {**BASE, "n_levels": 4,
+                                       "spectroscopy": {"baselines": [0.5, 1.0], "grid_points": 5, "span": [0.5, 1.5]}})
+    out = tmp_path / "spec"
+    assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
+    meta = json.loads((out / "spectroscopy.meta.json").read_text())
+    assert [pump["label_n_ss"] for pump in meta["point_solves"]] == pytest.approx([0.5, 1.0], rel=1e-12)
+    for pump in meta["point_solves"]:
+        assert pump["point_solver"] == "schur"
+        assert pump["paths"] == {"schur": 4, "splu": 1}
+        assert pump["fallback_points"] == [2]
+        assert 0.0 <= pump["residual_max"] <= 1e-10 * 0.3
+        assert 0.0 <= pump["clipped_weight_max"] < 1e-10
+        assert pump["baseline_residual"] <= 1e-10 * 0.3
+    # the per-point records stay out of the sidecar, and the tables gain no column
+    assert "point_solves" not in meta["scan_metadata"]
+    header = [line for line in (out / "spectroscopy_scan_n1.csv").read_text().splitlines() if not line.startswith("#")][0]
+    assert header == "omega_s,normalized_detuning,n_ss,percent_reduction"
+
+
 def test_spectroscopy_ignores_integrator_keys(tmp_path):
     # t_start, window and dt stay valid keys (configs and digests keep working),
     # but no solver reads them: a run warns and lists them in the sidecar

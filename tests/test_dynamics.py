@@ -9,12 +9,16 @@ from dressedrabi import dynamics
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _CHUNK,
+    _DENSE_MAX,
     NumericsError,
     _reachable_block,
+    _schur_pays,
+    _shifted_solver,
     _solve_liouvillian,
     _unvec,
     coherent_dressed_ket,
     evolve,
+    generator_scale,
     observables,
     steady_state_longtime,
     steady_state_nullspace,
@@ -33,7 +37,7 @@ from dressedrabi.lindblad import (
 from dressedrabi.rabi import RabiParams, ground_state
 from dressedrabi.spectroscopy import _cross_drive_op
 
-from conftest import expand, fig3_params, probe_frame_generator, random_density
+from conftest import expand, fig3_params, probe_frame_generator, random_density, scan_pump_system
 from dense_reference import dense_liouvillian, dense_rhs, dense_steady_state, rk4_time_average
 
 
@@ -511,3 +515,84 @@ def test_superoperator_matches_rhs(dims40):
         assert max_abs(me.rhs(rho) - dense_rhs(me, rho)) < 1e-12
         ss = steady_state_nullspace(me)
         assert max_abs(ss.rho - dense_steady_state(me)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the scan's per-pump solver of system + omega B
+
+
+def _paper_pump(n_levels=12):
+    """The default spectroscopy pump at the paper point, and its grid's probe frequencies."""
+    p = fig3_params()
+    rates = RateFunctions.flat(0.00108, 0.000108)
+    b = build_basis(p, n_levels, SpaceDims(40), energy_mode="truncated")
+    point, shift = scan_pump_system(b, rates, rates.oscillator_rate(p.omega_minus) / 2,
+                                    rates.cross_rate(p.beta, float(p.omega_tilde(1)[0])))
+    return b, point, shift
+
+
+def _per_point(point, shift, omega):
+    return _solve_liouvillian(point.liouvillian() + omega * shift, point.dim, generator_scale(point))
+
+
+def test_schur_path_rule():
+    # the lowest break-evens against per-point splu measured for the rule, (m, points):
+    # the Schur path is never chosen below one, and is chosen at the default scan
+    for m, break_even in ((288, 11), (648, 49), (1152, 120), (1800, 225)):
+        assert not _schur_pays(m, break_even - 1)
+    assert _schur_pays(288, 241) and _schur_pays(288, 16) and not _schur_pays(288, 15)
+    assert _schur_pays(1152, 256) and not _schur_pays(1152, 255)
+    # past the dense limit no grid is long enough
+    assert _schur_pays(_DENSE_MAX, 10**6) and not _schur_pays(_DENSE_MAX + 2, 10**9)
+
+
+def test_schur_solver_matches_per_point_at_the_paper_point():
+    b, point, shift = _paper_pump()
+    grid = fig3_params().omega0 - np.linspace(0.0, 12.0, 25) * 2 * 0.3 * 0.1**2
+    solve, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), grid.size)
+    assert path == "schur"
+    for omega in grid:
+        fast, slow = solve(float(omega)), _per_point(point, shift, float(omega))
+        assert fast.metadata["solve"] == "schur" and slow.metadata["solve"] == "splu"
+        assert fast.residual <= 1e-10 * generator_scale(point)
+        n_fast, n_slow = (observables(ss.rho, b)["n_total"] for ss in (fast, slow))
+        assert abs(n_fast - n_slow) <= 1e-12 * n_slow
+
+
+def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
+    b, point, shift = _paper_pump(n_levels=6)
+    grid = [0.28, 0.29, 0.3]
+    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), len(grid))
+    trsyl = dynamics.dtrsyl
+
+    def stand_in(t, shift_block, c):
+        # the quasi-triangular solve of the middle point is 1% off
+        x, scale, info = trsyl(t, shift_block, c)
+        return (1.01 * x if shift_block[0, 0] == grid[1] else x), scale, info
+
+    monkeypatch.setattr(dynamics, "dtrsyl", stand_in)
+    states = [solve(omega) for omega in grid]
+    assert [ss.metadata["solve"] for ss in states] == ["schur", "splu", "schur"]
+    slow = _per_point(point, shift, grid[1])
+    assert max_abs(states[1].rho - slow.rho) == 0.0 and states[1].residual == slow.residual
+
+
+def test_singular_same_sector_block_drops_the_pump_to_per_point_solves():
+    # without dissipation the populations do not move: M_SS is singular, and
+    # every point takes the per-point path, whose dense retry solves it
+    me = MasterEquation(hamiltonian=np.diag([0.0, 1.0, 0.2, 1.5]).astype(complex))
+    shift = MasterEquation(np.diag([0.5, 0.5, -0.5, -0.5])).liouvillian()
+    solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5, 100)
+    assert path == "splu"
+    ss = solve(0.3)
+    assert ss.metadata["solve"] == "lstsq" and abs(np.trace(ss.rho) - 1.0) < 1e-12
+
+
+def test_non_finite_system_fails_each_point_of_the_pump():
+    _, point, shift = _paper_pump(n_levels=4)
+    system = point.liouvillian().copy()
+    system.data[3] = np.nan
+    solve, path = _shifted_solver(system, shift, point.dim, generator_scale(point), 100)
+    assert path == "splu"
+    with pytest.raises(NumericsError, match="non-finite"):
+        solve(0.3)

@@ -31,7 +31,10 @@ from dressedrabi import cli
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _reachable_block,
+    _shifted_solver,
+    _solve_liouvillian,
     generator_scale,
+    observables,
     steady_state_nullspace,
     steady_state_timeaveraged,
 )
@@ -49,7 +52,7 @@ from dressedrabi.lindblad import (
 from dressedrabi.rabi import RabiParams
 from dressedrabi.spectroscopy import _cross_drive_op
 
-from conftest import expand, random_density
+from conftest import expand, random_density, scan_pump_system
 from dense_reference import dense_liouvillian, dense_steady_state
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -205,6 +208,28 @@ def test_timeaveraged_state_across_the_window(dressed, big, small, gamma_f, data
     assert abs(np.trace(rho) - 1.0) <= 1e-12
     assert max_abs(rho - rho.conj().T) <= 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+
+
+@PROFILE
+@given(params(max_levels=6), st.floats(0.01, 0.4), st.floats(0.01, 0.1), st.floats(0.0, 0.1), st.data())
+def test_schur_scan_solver_matches_per_point_across_the_window(dressed, big, small, gamma_f, data):
+    # one co-rotating scan pump: the shared Schur reduction against a factorization per point
+    b = _basis(*dressed)
+    rates = RateFunctions.flat(big, small, gamma_f=gamma_f)
+    omega0 = b.params.omega0
+    spec_amp = data.draw(st.floats(0.01, 1.0)) * rates.cross_rate(b.params.beta, omega0)
+    point, shift = scan_pump_system(b, rates, data.draw(st.floats(0.05, 1.0)) * big, spec_amp)
+    system, scale = point.liouvillian(), generator_scale(point)
+    grid = [f * omega0 for f in data.draw(st.lists(st.floats(0.5, 1.2), min_size=1, max_size=4))]
+    solve, path = _shifted_solver(system, shift, point.dim, scale, len(grid))
+    assert path == "schur"
+    for omega in grid:
+        fast = solve(omega)
+        slow = _solve_liouvillian(system + omega * shift, point.dim, scale)
+        # a point that fell back would match trivially
+        assert fast.metadata["solve"] == "schur"
+        n_fast, n_slow = (observables(ss.rho, b)["n_total"] for ss in (fast, slow))
+        assert abs(n_fast - n_slow) <= 1e-12 * n_slow
 
 
 # ---------------------------------------------------------------------------

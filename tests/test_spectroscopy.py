@@ -316,6 +316,39 @@ def test_scan_failure_handling(monkeypatch):
     assert np.isnan(res.n_ss[1]) and np.all(np.isfinite(res.n_ss[[0, 2]]))
 
 
+def test_scan_records_each_point_solve(monkeypatch):
+    p = fig3_params()
+    rates = fig3_rates()
+    gamma = rates.oscillator_rate(p.omega)
+    common = dict(params=p, rates=rates, pump_amp=gamma / 2, spec_amp=gamma / 6)
+    # at n_levels=6 (72 real cross-sector unknowns) the Schur path pays from one point
+    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=default_scan_grid(p, 5), n_levels=6))
+    assert res.metadata["point_solver"] == "schur"
+    assert [rec["solve"] for rec in res.metadata["point_solves"]] == ["schur"] * 5
+    assert all(rec["residual"] <= 1e-10 * gamma and rec["clipped_weight"] < 1e-10
+               for rec in res.metadata["point_solves"])
+    # at n_levels=12 (288) it pays from 16 points: 15 are factorized one by one
+    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=default_scan_grid(p, 15), n_levels=12))
+    assert res.metadata["point_solver"] == "splu"
+    assert {rec["solve"] for rec in res.metadata["point_solves"]} == {"splu"}
+    # the time-averaged solver factorizes each point
+    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=default_scan_grid(p, 2), n_levels=4,
+                                      solver="timeaveraged"))
+    assert res.metadata["point_solver"] == "splu"
+    assert [rec["solve"] for rec in res.metadata["point_solves"]] == ["splu"] * 2
+    # a failed point has no record
+    solve = spectroscopy._solve_point
+
+    def stand_in(cfg, basis, me, op, omega_s):
+        if omega_s == cfg.omega_s_grid[1]:
+            raise NumericsError("injected")
+        return solve(cfg, basis, me, op, omega_s)
+
+    monkeypatch.setattr(spectroscopy, "_solve_point", stand_in)
+    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=default_scan_grid(p, 3), n_levels=6))
+    assert [rec and rec["solve"] for rec in res.metadata["point_solves"]] == ["schur", None, "schur"]
+
+
 def test_local_maxima_helper():
     x = np.arange(7.0)
     y = np.array([0.0, 1.0, 0.5, 2.0, 0.1, 0.3, 0.0])
