@@ -332,7 +332,9 @@ def _clip_and_report(rho: np.ndarray):
     return rho, clipped
 
 
-# the largest system (unknowns) the lstsq retry densifies: 100 MB of complex entries
+# the most unknowns a dense solve may hold, about 100 MB of dense arrays at 2500:
+# complex ones for the lstsq retry, real cross-sector ones for _shifted_solver's
+# Schur form (A overwritten by T, and Z)
 _DENSE_MAX = 2500
 # a steady state's residual max|system v| may reach this share of the generator scale
 _RESIDUAL_TOL = 1e-10
@@ -404,41 +406,20 @@ def _trace_fold(n: int, d: int, scale: float) -> sparse.csc_matrix:
     return sparse.csc_matrix((np.full(d, scale, dtype=complex), (rows, cols)), shape=(n, n))
 
 
-def _schur_pays(m: int, n_points: int) -> bool:
-    """Whether ``_shifted_solver``'s Schur path beats per-point splu for m real cross-sector unknowns.
-
-    Measured with one BLAS thread on a loaded 2-core x86 machine, for the
-    default pump and probe at the paper's rates (beta = 0.1 at n_levels = 12,
-    0.05 above) and 21 probe points:
-
-        n_levels    m   Schur set-up  Schur per point  splu per point  break-even
-        12        288   0.085 s       1.2 ms           7.1 ms            14 points
-        18        648   0.69 s        4.1 ms           18.2 ms           49 points
-        24       1152   2.7 s         13.1 ms          35.7 ms          120 points
-        30       1800   8.8 s         29.4 ms          68.7 ms          225 points
-
-    A prototype of this kernel on a quieter machine broke even at 11, 54, 157
-    and 301 points.
-    Both fit about (m/90)^2 or less; the rule asks for (m/72)^2, 1.56 times
-    that, and caps m at the dense retry's ``_DENSE_MAX``.
-    """
-    return m <= _DENSE_MAX and n_points >= (m / 72) ** 2
-
-
 # columns of the Schur complement formed per block, so no dense |S| x m solve is ever held
 _SCHUR_BLOCK = 32
 
 
-def _shifted_solver(system, shift, d: int, scale: float, n_points: int):
-    """Steady states of ``system + omega * shift`` at n_points omega: returns (solve, path).
+def _shifted_solver(system, shift, d: int, scale: float):
+    """Steady states of ``system + omega * shift`` at many omega: returns (solve, path).
 
     ``solve(omega)`` returns the ``SteadyState``; ``path`` names what each
     point tries first.  ``system`` is a Hermiticity-preserving d^2 x d^2
     generator and ``shift`` a diagonal one, B = -i[F, .] for a diagonal F.
 
-    ``"schur"``, when ``_schur_pays``: the unknowns S where B vanishes (row 0
-    and the trace fold among them) are eliminated once, by one splu of M_SS,
-    the folded system restricted to S.  A Hermitian solution has rho_ji =
+    ``"schur"``: the unknowns S where B vanishes (row 0 and the trace fold
+    among them) are eliminated once, by one splu of M_SS, the folded system
+    restricted to S.  A Hermitian solution has rho_ji =
     conj(rho_ij), so the cross-sector unknowns rho_ij, i < j, carry it, as m
     real ones.  Their equations, divided by B, read (A + omega) w = z for a
     real m x m Schur complement A, reduced once to real Schur form Z T Z^T
@@ -447,12 +428,13 @@ def _shifted_solver(system, shift, d: int, scale: float, n_points: int):
     ``dtrsyl``), one product with Z and one back-solve with M_SS, and is
     Hermitized, clipped and checked like ``_solve_liouvillian``.  A point
     whose residual max|(system + omega shift) v| exceeds ``_RESIDUAL_TOL *
-    scale`` is re-solved by ``_solve_liouvillian`` and records that path.
-    At most two dense m x m arrays are held: A, overwritten by T, and Z.
+    scale`` is re-solved by ``_solve_liouvillian`` and records that path;
+    the clip warnings of its discarded attempt are dropped.  At most two
+    dense m x m arrays are held: A, overwritten by T, and Z.
 
-    ``"splu"``, every point by ``_solve_liouvillian``: for a grid too short
-    for the set-up to pay, a non-finite system, a singular M_SS or a failed
-    Schur reduction.
+    ``"splu"``, every point by ``_solve_liouvillian``: for m above
+    ``_DENSE_MAX``, a non-finite system, a singular M_SS or a failed Schur
+    reduction.
     """
 
     def per_point(omega: float) -> SteadyState:
@@ -464,7 +446,7 @@ def _shifted_solver(system, shift, d: int, scale: float, n_points: int):
     upper = cross[cross % d < cross // d]  # rho_ij with i < j: index i + j d
     h = upper.size
     m = 2 * h
-    if not (h and _schur_pays(m, n_points) and np.isfinite(system.data).all()):
+    if not (0 < m <= _DENSE_MAX and np.isfinite(system.data).all()):
         return per_point, "splu"
     same = np.flatnonzero(diag == 0)
     lower = upper // d + d * (upper % d)  # the transpose partners rho_ji
@@ -511,10 +493,15 @@ def _shifted_solver(system, shift, d: int, scale: float, n_points: int):
         v[upper], v[lower] = x, x.conj()
         v[same] = y - lu.solve(m_su @ x + m_sl @ x.conj())
         if np.isfinite(v).all():
-            rho, clipped = _clip_in_place(v, d)
+            # a clip warning is emitted only for the state returned, not for an attempt re-solved below
+            with warnings.catch_warnings(record=True) as clip_warnings:
+                warnings.simplefilter("always")
+                rho, clipped = _clip_in_place(v, d)
             residual = float(max_abs(system @ v + omega * (diag * v)))
             # written so that a NaN residual fails the check
             if residual <= _RESIDUAL_TOL * scale:
+                for caught in clip_warnings:
+                    warnings.warn(caught.message)
                 return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": "schur"})
         return per_point(omega)
 

@@ -146,9 +146,10 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     of relative weight (2 beta Omega_s / 2 omega_s)^2; ladder occupations are
     frame invariants, so its excitation numbers match the time-averaged
     two-tone dynamics.  The points share one ``_shifted_solver``, which
-    reduces the pump's system to real Schur form once when the grid is long
-    enough (``_schur_pays``; 0.22 s against 1.2 s per pump at the default
-    ``n_levels=12`` and 241 points) and otherwise factorizes each point.
+    reduces the pump's system to real Schur form once (0.22 s against 1.2 s
+    per pump at the default ``n_levels=12`` and 241 points); a point whose
+    Schur solve misses the residual bound, or every point of a pump the
+    reduction cannot serve, is factorized on its own.
     Or the exact period average of the pump-frame generator plus the probe
     tone H(t) = 2 cos(omega_s t) A (``solver="timeaveraged"``), which keeps
     that component: one harmonic solve per point, ~40x the cost of a
@@ -173,9 +174,7 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
         # the probe frame at omega_s = 0, and B = -i[F, .] of the frame's generator F
         point_me = replace(baseline_me, hamiltonian=baseline_me.hamiltonian + tone)
         shift = MasterEquation(_probe_frame_op(basis)).liouvillian()
-        op, point_solver = _shifted_solver(
-            point_me.liouvillian(), shift, point_me.dim, generator_scale(point_me), len(cfg.omega_s_grid)
-        )
+        op, point_solver = _shifted_solver(point_me.liouvillian(), shift, point_me.dim, generator_scale(point_me))
     else:
         point_me, op, point_solver = baseline_me, tone, "splu"
     n_ss = np.empty(len(cfg.omega_s_grid))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,6 @@ from dressedrabi.dynamics import (
     _DENSE_MAX,
     NumericsError,
     _reachable_block,
-    _schur_pays,
     _shifted_solver,
     _solve_liouvillian,
     _unvec,
@@ -535,21 +535,10 @@ def _per_point(point, shift, omega):
     return _solve_liouvillian(point.liouvillian() + omega * shift, point.dim, generator_scale(point))
 
 
-def test_schur_path_rule():
-    # the lowest break-evens against per-point splu measured for the rule, (m, points):
-    # the Schur path is never chosen below one, and is chosen at the default scan
-    for m, break_even in ((288, 11), (648, 49), (1152, 120), (1800, 225)):
-        assert not _schur_pays(m, break_even - 1)
-    assert _schur_pays(288, 241) and _schur_pays(288, 16) and not _schur_pays(288, 15)
-    assert _schur_pays(1152, 256) and not _schur_pays(1152, 255)
-    # past the dense limit no grid is long enough
-    assert _schur_pays(_DENSE_MAX, 10**6) and not _schur_pays(_DENSE_MAX + 2, 10**9)
-
-
 def test_schur_solver_matches_per_point_at_the_paper_point():
     b, point, shift = _paper_pump()
     grid = fig3_params().omega0 - np.linspace(0.0, 12.0, 25) * 2 * 0.3 * 0.1**2
-    solve, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), grid.size)
+    solve, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point))
     assert path == "schur"
     for omega in grid:
         fast, slow = solve(float(omega)), _per_point(point, shift, float(omega))
@@ -562,7 +551,7 @@ def test_schur_solver_matches_per_point_at_the_paper_point():
 def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
     b, point, shift = _paper_pump(n_levels=6)
     grid = [0.28, 0.29, 0.3]
-    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), len(grid))
+    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point))
     trsyl = dynamics.dtrsyl
 
     def stand_in(t, shift_block, c):
@@ -575,6 +564,19 @@ def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
     assert [ss.metadata["solve"] for ss in states] == ["schur", "splu", "schur"]
     slow = _per_point(point, shift, grid[1])
     assert max_abs(states[1].rho - slow.rho) == 0.0 and states[1].residual == slow.residual
+    # every clip warns here: a point warns once, for the state it returns, not for a discarded attempt
+    clip = dynamics._clip_and_report
+
+    def warning_clip(rho):
+        warnings.warn("steady state eigenvalue clipped to zero")
+        return clip(rho)
+
+    monkeypatch.setattr(dynamics, "_clip_and_report", warning_clip)
+    for omega in grid:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve(omega)
+        assert len(caught) == 1
 
 
 def test_singular_same_sector_block_drops_the_pump_to_per_point_solves():
@@ -582,17 +584,27 @@ def test_singular_same_sector_block_drops_the_pump_to_per_point_solves():
     # every point takes the per-point path, whose dense retry solves it
     me = MasterEquation(hamiltonian=np.diag([0.0, 1.0, 0.2, 1.5]).astype(complex))
     shift = MasterEquation(np.diag([0.5, 0.5, -0.5, -0.5])).liouvillian()
-    solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5, 100)
+    solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5)
     assert path == "splu"
     ss = solve(0.3)
     assert ss.metadata["solve"] == "lstsq" and abs(np.trace(ss.rho) - 1.0) < 1e-12
+
+
+def test_cross_sector_past_the_dense_limit_keeps_per_point_solves():
+    # two sectors of 36 levels: m = 2 * 36^2 real cross-sector unknowns, too many for a dense Schur form
+    d = 72
+    assert 2 * (d // 2) ** 2 > _DENSE_MAX
+    me = MasterEquation(hamiltonian=np.diag(np.arange(d, dtype=complex)))
+    shift = MasterEquation(np.diag(np.repeat([0.5, -0.5], d // 2))).liouvillian()
+    _, path = _shifted_solver(me.liouvillian(), shift, d, 1.0)
+    assert path == "splu"
 
 
 def test_non_finite_system_fails_each_point_of_the_pump():
     _, point, shift = _paper_pump(n_levels=4)
     system = point.liouvillian().copy()
     system.data[3] = np.nan
-    solve, path = _shifted_solver(system, shift, point.dim, generator_scale(point), 100)
+    solve, path = _shifted_solver(system, shift, point.dim, generator_scale(point))
     assert path == "splu"
     with pytest.raises(NumericsError, match="non-finite"):
         solve(0.3)
