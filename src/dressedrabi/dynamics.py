@@ -321,15 +321,18 @@ def _observe(me: MasterEquation, rho: np.ndarray) -> dict[str, float]:
 
 
 def _clip_and_report(rho: np.ndarray):
+    """Hermitize rho and clip its negative eigenvalues: (unit-trace rho, clipped weight, lowest eigenvalue)."""
     rho = 0.5 * (rho + rho.conj().T)
     vals, vecs = np.linalg.eigh(rho)
     clipped = float(-vals[vals < 0].sum()) if np.any(vals < 0) else 0.0
-    if vals[0] < -1e-10:
-        warnings.warn(f"steady state eigenvalue {vals[0]:.3g} clipped to zero", stacklevel=3)
-    vals = np.clip(vals, 0.0, None)
-    rho = (vecs * vals) @ vecs.conj().T
+    rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
-    return rho, clipped
+    return rho, clipped, float(vals[0])
+
+
+def _warn_clipped(lowest: float) -> None:
+    if lowest < -1e-10:
+        warnings.warn(f"steady state eigenvalue {lowest:.3g} clipped to zero", stacklevel=3)
 
 
 # the most unknowns a dense solve may hold, about 100 MB of dense arrays at 2500:
@@ -340,11 +343,21 @@ _DENSE_MAX = 2500
 _RESIDUAL_TOL = 1e-10
 
 
-def _clip_in_place(v: np.ndarray, d: int):
-    """Hermitize and clip the rho_0 in v, write it back, and return it with the clipped weight."""
-    rho, clipped = _clip_and_report(_unvec(v[: d * d], d))
+def _accept(v: np.ndarray, d: int, apply, scale: float, path: str):
+    """Hermitize and clip the vec(rho_0) that leads v, in place, and accept it if max|apply(v)| passes.
+
+    Returns (``SteadyState`` or None, residual): the state, with
+    ``clipped_weight`` and ``solve`` (``path``), only for a residual at most
+    ``_RESIDUAL_TOL * scale``; only then is a clipped eigenvalue warned of.
+    """
+    rho, clipped, lowest = _clip_and_report(_unvec(v[: d * d], d))
     v[: d * d] = rho.reshape(-1, order="F")
-    return rho, clipped
+    residual = float(max_abs(apply(v)))
+    # written so that a NaN residual fails the check
+    if not residual <= _RESIDUAL_TOL * scale:
+        return None, residual
+    _warn_clipped(lowest)
+    return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path}), residual
 
 
 def _solve_liouvillian(system, d: int, scale: float):
@@ -354,50 +367,44 @@ def _solve_liouvillian(system, d: int, scale: float):
     and SuperLU solves the result; a singular factor or a residual above
     ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
     with the trace row appended; a non-finite system or splu solution raises
-    ``NumericsError`` instead.  rho_0 is Hermitized and clipped.  Returns the
-    ``SteadyState`` of rho_0 whose residual is max|M v - b| of the folded
-    system with the clipped rho_0 in v, which for a unit-trace rho_0 is
-    max|system v|.  Its ``metadata`` records ``clipped_weight`` and
-    ``solve``, the path that ran: ``"splu"`` or ``"lstsq"`` here, or
-    ``"schur"`` for a point of ``_shifted_solver`` that needed no retry.
+    ``NumericsError`` instead.  Each attempt is Hermitized, clipped and
+    checked by ``_accept``; a discarded attempt never warns.  Returns the
+    ``SteadyState`` of rho_0 whose residual is max|system v| with the
+    clipped, unit-trace rho_0 in v.  Its ``metadata`` records
+    ``clipped_weight`` and ``solve``, the path that ran: ``"splu"`` or
+    ``"lstsq"`` here, or ``"schur"`` for a point of ``_shifted_solver`` that
+    needed no retry.
     """
     n = system.shape[0]
     fold = _trace_fold(n, d, scale)
-
-    def finish(v):
-        rho, clipped = _clip_in_place(v, d)
-        return rho, float(max_abs(system @ v)), clipped
-
     if not np.isfinite(system.data).all():
         raise NumericsError("the steady-state system has non-finite entries")
     b = np.zeros(n, dtype=complex)
     b[0] = scale
-    path = "splu"
+    ss, residual = None, math.inf
     try:
         v = splu((system + fold).tocsc()).solve(b)
     except RuntimeError:
         # splu reports an exactly singular factor as a RuntimeError
-        residual = math.inf
+        pass
     else:
         if not np.isfinite(v).all():
             raise NumericsError("splu returned a non-finite steady state")
-        rho, residual, clipped = finish(v)
-    # written so that a NaN residual fails the check
-    if not residual <= _RESIDUAL_TOL * scale:
+        ss, residual = _accept(v, d, system.dot, scale, "splu")
+    if ss is None:
         if n > _DENSE_MAX:
             raise NumericsError(
                 f"splu failed (residual {residual:.3g}) and {n} unknowns exceed the dense retry's {_DENSE_MAX}"
             )
-        path = "lstsq"
         rhs = np.append(np.zeros(n, dtype=complex), scale)
         v, *_ = np.linalg.lstsq(np.vstack([system.toarray(), fold[0].toarray()]), rhs, rcond=None)
-        rho, residual, clipped = finish(v)
-        if not residual <= _RESIDUAL_TOL * scale:
+        ss, residual = _accept(v, d, system.dot, scale, "lstsq")
+        if ss is None:
             raise NumericsError(
                 f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale; "
                 "the generator may have a degenerate steady family"
             )
-    return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path})
+    return ss
 
 
 def _trace_fold(n: int, d: int, scale: float) -> sparse.csc_matrix:
@@ -419,18 +426,19 @@ def _shifted_solver(system, shift, d: int, scale: float):
 
     ``"schur"``: the unknowns S where B vanishes (row 0 and the trace fold
     among them) are eliminated once, by one splu of M_SS, the folded system
-    restricted to S.  A Hermitian solution has rho_ji =
-    conj(rho_ij), so the cross-sector unknowns rho_ij, i < j, carry it, as m
-    real ones.  Their equations, divided by B, read (A + omega) w = z for a
-    real m x m Schur complement A, reduced once to real Schur form Z T Z^T
+    restricted to S.  A Hermitian solution has rho_ji = conj(rho_ij), so the
+    m real unknowns w = (Re rho_ij, Im rho_ij), i < j across the sectors,
+    carry it: the sparse embedding E maps w to (rho_ij, rho_ji) in v, and
+    the system enters only as M_S E and M_U E, its rows in S and at the
+    rho_ij.  Those rows' equations, divided by B, read (A + omega) w = z for
+    a real m x m Schur complement A, reduced once to real Schur form Z T Z^T
     (the frequency-response problem: A. J. Laub, IEEE Trans. Autom. Control
     26, 407 (1981)).  A point costs one quasi-triangular solve (LAPACK
     ``dtrsyl``), one product with Z and one back-solve with M_SS, and is
-    Hermitized, clipped and checked like ``_solve_liouvillian``.  A point
+    accepted by ``_accept`` like a ``_solve_liouvillian`` attempt; one
     whose residual max|(system + omega shift) v| exceeds ``_RESIDUAL_TOL *
-    scale`` is re-solved by ``_solve_liouvillian`` and records that path;
-    the clip warnings of its discarded attempt are dropped.  At most two
-    dense m x m arrays are held: A, overwritten by T, and Z.
+    scale`` is re-solved by ``_solve_liouvillian`` and records that path.
+    At most two dense m x m arrays are held: A, overwritten by T, and Z.
 
     ``"splu"``, every point by ``_solve_liouvillian``: for m above
     ``_DENSE_MAX``, a non-finite system, a singular M_SS or a failed Schur
@@ -450,9 +458,13 @@ def _shifted_solver(system, shift, d: int, scale: float):
         return per_point, "splu"
     same = np.flatnonzero(diag == 0)
     lower = upper // d + d * (upper % d)  # the transpose partners rho_ji
+    k = np.arange(h)
+    # w_k = Re rho_ij and w_{h+k} = Im rho_ij: rho_ij = w_k + i w_{h+k}, rho_ji = w_k - i w_{h+k}
+    entries = (np.concatenate([upper, lower, upper, lower]), np.concatenate([k, k, k + h, k + h]))
+    embed = sparse.csc_matrix((np.repeat([1, 1, 1j, -1j], h), entries), shape=(n, m))
     folded = (system + _trace_fold(n, d, scale)).tocsr()
     rows_s, rows_u = folded[same], folded[upper]
-    m_su, m_sl, m_uu, m_ul = (rows[:, cols].tocsc() for rows in (rows_s, rows_u) for cols in (upper, lower))
+    m_se, m_ue = (rows_s @ embed).tocsc(), (rows_u @ embed).tocsc()
     m_us = rows_u[:, same].tocsc()
     try:
         lu = splu(rows_s[:, same].tocsc())
@@ -464,15 +476,11 @@ def _shifted_solver(system, shift, d: int, scale: float):
     def real_form(z: np.ndarray) -> np.ndarray:
         return np.concatenate([z.real, z.imag])
 
-    # column k of A: x_ij = 1 and x_ji = 1 (Re rho_ij), column h + k: x_ij = i and x_ji = -i (Im rho_ij)
     a = np.empty((m, m), order="F")
-    for start in range(0, h, _SCHUR_BLOCK):
-        cols = np.arange(start, min(start + _SCHUR_BLOCK, h))
-        for offset, (x_upper, x_lower) in ((0, (1.0, 1.0)), (h, (1j, -1j))):
-            s_block = (m_su[:, cols] * x_upper + m_sl[:, cols] * x_lower).toarray()
-            u_block = (m_uu[:, cols] * x_upper + m_ul[:, cols] * x_lower).toarray()
-            u_block -= m_us @ lu.solve(s_block)
-            a[:, offset + cols] = real_form(inv_b[:, None] * u_block)
+    for start in range(0, m, _SCHUR_BLOCK):
+        cols = np.arange(start, min(start + _SCHUR_BLOCK, m))
+        u_block = m_ue[:, cols].toarray() - m_us @ lu.solve(m_se[:, cols].toarray())
+        a[:, cols] = real_form(inv_b[:, None] * u_block)
     if not np.isfinite(a).all():
         return per_point, "splu"
     try:
@@ -488,21 +496,12 @@ def _shifted_solver(system, shift, d: int, scale: float):
     def solve(omega: float) -> SteadyState:
         w, w_scale, _ = dtrsyl(t, np.array([[omega]]), qz[:, None])
         w = q @ (w[:, 0] / w_scale)
-        x = w[:h] + 1j * w[h:]
-        v = np.empty(n, dtype=complex)
-        v[upper], v[lower] = x, x.conj()
-        v[same] = y - lu.solve(m_su @ x + m_sl @ x.conj())
+        v = embed @ w
+        v[same] = y - lu.solve(m_se @ w)
         if np.isfinite(v).all():
-            # a clip warning is emitted only for the state returned, not for an attempt re-solved below
-            with warnings.catch_warnings(record=True) as clip_warnings:
-                warnings.simplefilter("always")
-                rho, clipped = _clip_in_place(v, d)
-            residual = float(max_abs(system @ v + omega * (diag * v)))
-            # written so that a NaN residual fails the check
-            if residual <= _RESIDUAL_TOL * scale:
-                for caught in clip_warnings:
-                    warnings.warn(caught.message)
-                return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": "schur"})
+            ss, _ = _accept(v, d, lambda u: system @ u + omega * (diag * u), scale, "schur")
+            if ss is not None:
+                return ss
         return per_point(omega)
 
     return solve, "schur"
@@ -513,8 +512,9 @@ def steady_state_nullspace(me: MasterEquation) -> SteadyState:
 
     Solves L vec(rho) = 0 with the unit-trace condition folded in as a linear
     constraint (``_solve_liouvillian``), Hermitizes, and clips any negative
-    eigenvalues at readout (reported, never silently).  ``metadata["solve"]``
-    names the solve that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
+    eigenvalues at readout: the returned state warns of a clipped one, a
+    discarded attempt never does.  ``metadata["solve"]`` names the solve
+    that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
     """
     return _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
 
@@ -542,7 +542,8 @@ def steady_state_longtime(me: MasterEquation, rho0: np.ndarray, dt: float) -> St
         t += block
         residual = float(max_abs(me.rhs(rho)))
         if residual < _LONGTIME_TOL * scale:
-            rho, clipped = _clip_and_report(rho)
+            rho, clipped, lowest = _clip_and_report(rho)
+            _warn_clipped(lowest)
             return SteadyState(
                 rho=rho,
                 residual=float(max_abs(me.rhs(rho))),

@@ -11,6 +11,7 @@ ladder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -123,14 +124,10 @@ class ScanResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _solve_point(cfg, basis, me, op, omega_s) -> SteadyState:
-    """The ``SteadyState`` at one probe frequency: ``op(omega_s)``, ``op`` the pump's
-    ``_shifted_solver`` (co-rotating), or the period average of the pump-frame ``me``
-    with the probe tone ``op`` (time-averaged).  ``basis`` is not read; the
-    arguments are those of the scan's per-point call."""
-    if cfg.solver == "corotating":
-        return op(omega_s)
-    return steady_state_timeaveraged(me, op, omega_s)
+def _solve_point(solve, omega_s) -> SteadyState:
+    """The ``SteadyState`` at one probe frequency, ``solve(omega_s)``: a function of its own
+    only so that the bench tracer times each point as one span and tests can substitute it."""
+    return solve(omega_s)
 
 
 def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
@@ -146,14 +143,14 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     of relative weight (2 beta Omega_s / 2 omega_s)^2; ladder occupations are
     frame invariants, so its excitation numbers match the time-averaged
     two-tone dynamics.  The points share one ``_shifted_solver``, which
-    reduces the pump's system to real Schur form once (0.22 s against 1.2 s
+    reduces the pump's system to real Schur form once (0.23 s against 1.1 s
     per pump at the default ``n_levels=12`` and 241 points); a point whose
     Schur solve misses the residual bound, or every point of a pump the
     reduction cannot serve, is factorized on its own.
     Or the exact period average of the pump-frame generator plus the probe
     tone H(t) = 2 cos(omega_s t) A (``solver="timeaveraged"``), which keeps
-    that component: one harmonic solve per point, ~40x the cost of a
-    factorized co-rotating point (0.24 s against 6 ms at ``n_levels=12``).
+    that component: one harmonic solve per point, ~200x the cost of a
+    co-rotating Schur point (0.15 s against 0.7 ms at ``n_levels=12``).
     Per-point numeric failures are recorded and the scan continues.
     ``metadata["point_solves"]`` holds each point's ``solve`` path,
     ``residual`` and ``clipped_weight`` (None for a failed point), and
@@ -174,15 +171,15 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
         # the probe frame at omega_s = 0, and B = -i[F, .] of the frame's generator F
         point_me = replace(baseline_me, hamiltonian=baseline_me.hamiltonian + tone)
         shift = MasterEquation(_probe_frame_op(basis)).liouvillian()
-        op, point_solver = _shifted_solver(point_me.liouvillian(), shift, point_me.dim, generator_scale(point_me))
+        solve, point_solver = _shifted_solver(point_me.liouvillian(), shift, point_me.dim, generator_scale(point_me))
     else:
-        point_me, op, point_solver = baseline_me, tone, "splu"
+        solve, point_solver = functools.partial(steady_state_timeaveraged, baseline_me, tone), "splu"
     n_ss = np.empty(len(cfg.omega_s_grid))
     failures: list[tuple[int, str]] = []
     point_solves: list[dict | None] = []
     for idx, ws in enumerate(cfg.omega_s_grid):
         try:
-            ss = _solve_point(cfg, basis, point_me, op, float(ws))
+            ss = _solve_point(solve, float(ws))
         except (NumericsError, np.linalg.LinAlgError) as exc:
             # a numeric failure costs one point; anything else is a bug and propagates
             n_ss[idx] = float("nan")

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from dressedrabi import cli
 from dressedrabi.hilbert import SpaceDims
 from dressedrabi.lindblad import MasterEquation, RateFunctions, driven_rotating_dme
 from dressedrabi.rabi import RabiParams
 from dressedrabi.spectroscopy import _cross_drive_op
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Run the suite with OpenBLAS at one thread, as the CLI runs: its matrices are too small for a second."""
+    with cli._one_blas_thread():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -353,6 +353,34 @@ def test_nullspace_singular_factor_falls_back():
         steady_state_nullspace(big)
 
 
+def test_a_discarded_splu_attempt_does_not_warn(dims40, monkeypatch):
+    # a stand-in splu whose solve is off by -0.5 I on rho_0: the clip of that
+    # attempt meets an eigenvalue near -0.5 and leaves a projector, which misses
+    # the residual bound, so the attempt is discarded; only the returned lstsq
+    # state may warn, and it has nothing to clip
+    b = _basis(dims40)
+    me = finite_temperature_dme(b, RateFunctions.flat(0.3, 0.04, temperature=0.4))
+    off = 0.5 * np.eye(me.dim).reshape(-1, order="F")
+    real_splu = dynamics.splu
+
+    class OffSplu:
+        def __init__(self, matrix):
+            self.lu = real_splu(matrix)
+
+        def solve(self, rhs):
+            v = self.lu.solve(rhs)
+            v[: off.size] -= off
+            return v
+
+    monkeypatch.setattr(dynamics, "splu", OffSplu)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ss = steady_state_nullspace(me)
+    assert ss.metadata["solve"] == "lstsq"
+    assert trace_distance(ss.rho, gibbs_state(b, 0.4)) < 1e-8
+    assert not [w for w in caught if "clipped" in str(w.message)]
+
+
 def test_nullspace_vs_longtime(dims40):
     b = _basis(dims40)
     rates, big, _ = _moderate_rates(gamma_f=0.05)
@@ -564,14 +592,8 @@ def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
     assert [ss.metadata["solve"] for ss in states] == ["schur", "splu", "schur"]
     slow = _per_point(point, shift, grid[1])
     assert max_abs(states[1].rho - slow.rho) == 0.0 and states[1].residual == slow.residual
-    # every clip warns here: a point warns once, for the state it returns, not for a discarded attempt
-    clip = dynamics._clip_and_report
-
-    def warning_clip(rho):
-        warnings.warn("steady state eigenvalue clipped to zero")
-        return clip(rho)
-
-    monkeypatch.setattr(dynamics, "_clip_and_report", warning_clip)
+    # every returned state warns here: a point warns once, for the state it returns, not for a discarded attempt
+    monkeypatch.setattr(dynamics, "_warn_clipped", lambda lowest: warnings.warn("eigenvalue clipped to zero"))
     for omega in grid:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -293,15 +293,15 @@ def test_scan_failure_handling(monkeypatch):
     p = fig3_params()
     rates = fig3_rates()
     gamma = rates.oscillator_rate(p.omega)
-    common = dict(params=p, rates=rates, pump_amp=gamma / 2, spec_amp=gamma / 6,
-                  omega_s_grid=default_scan_grid(p, 3, span=(0.8, 1.2)), n_levels=8)
-    solve = spectroscopy._solve_point
+    grid = default_scan_grid(p, 3, span=(0.8, 1.2))
+    common = dict(params=p, rates=rates, pump_amp=gamma / 2, spec_amp=gamma / 6, omega_s_grid=grid, n_levels=8)
+    solve_point = spectroscopy._solve_point
 
     def failing(error):
-        def stand_in(cfg, basis, me, shift, omega_s):
-            if omega_s == cfg.omega_s_grid[1]:
+        def stand_in(solve, omega_s):
+            if omega_s == grid[1]:
                 raise error
-            return solve(cfg, basis, me, shift, omega_s)
+            return solve_point(solve, omega_s)
         return stand_in
 
     # a config error inside a point solve propagates
@@ -332,15 +332,16 @@ def test_scan_records_each_point_solve(monkeypatch):
     assert res.metadata["point_solver"] == "splu"
     assert [rec["solve"] for rec in res.metadata["point_solves"]] == ["splu"] * 2
     # a failed point has no record
-    solve = spectroscopy._solve_point
+    grid = default_scan_grid(p, 3)
+    solve_point = spectroscopy._solve_point
 
-    def stand_in(cfg, basis, me, op, omega_s):
-        if omega_s == cfg.omega_s_grid[1]:
+    def stand_in(solve, omega_s):
+        if omega_s == grid[1]:
             raise NumericsError("injected")
-        return solve(cfg, basis, me, op, omega_s)
+        return solve_point(solve, omega_s)
 
     monkeypatch.setattr(spectroscopy, "_solve_point", stand_in)
-    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=default_scan_grid(p, 3), n_levels=6))
+    res = run_scan(SpectroscopyConfig(**common, omega_s_grid=grid, n_levels=6))
     assert [rec and rec["solve"] for rec in res.metadata["point_solves"]] == ["schur", None, "schur"]
 
 
