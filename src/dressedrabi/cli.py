@@ -154,13 +154,14 @@ def _resolve(schema: dict, given, path: str) -> dict:
         raise ConfigError(f"unknown config keys at {path or 'top level'}: {sorted(unknown)}")
     out = {}
     for key, entry in schema.items():
+        name = f"{path}.{key}" if path else key
         if isinstance(entry, dict):
-            out[key] = _resolve(entry, given.get(key, {}), f"{path}{key}.")
+            out[key] = _resolve(entry, given.get(key, {}), name)
             continue
         default, kind = entry
         value = given.get(key, default)
         if not kind.check(value):
-            raise ConfigError(f"{path}{key} must be {kind.text}, got {value!r:.80}")
+            raise ConfigError(f"{name} must be {kind.text}, got {value!r:.80}")
         out[key] = copy.deepcopy(value)
     return out
 
@@ -395,15 +396,17 @@ def cmd_drive(cfg: dict) -> dict:
     return {"files": {"drive.csv": table}, "meta": {"pump_freq": pump_freq}}
 
 
+# the scan metadata that differs from pump to pump: each pump's summary holds it, the shared record does not
+_PER_PUMP_KEYS = ("pump_amp", "label_n_ss", "baseline_residual", "point_solver")
+
+
 def _point_solve_summary(result) -> dict:
-    """What one pump's point solves did: the count per path, the largest residual and
+    """What one pump's point solves did: its pump, the count per path, the largest residual and
     clipped weight, and the points that left the path every point tries first."""
     solved = [(idx, rec) for idx, rec in enumerate(result.metadata["point_solves"]) if rec is not None]
     paths = [rec["solve"] for _, rec in solved]
     return {
-        "label_n_ss": result.metadata["label_n_ss"],
-        "baseline_residual": result.metadata["baseline_residual"],
-        "point_solver": result.metadata["point_solver"],
+        **{key: result.metadata[key] for key in _PER_PUMP_KEYS},
         "paths": {path: paths.count(path) for path in sorted(set(paths))},
         "residual_max": max((rec["residual"] for _, rec in solved), default=None),
         "clipped_weight_max": max((rec["clipped_weight"] for _, rec in solved), default=None),
@@ -470,7 +473,8 @@ def cmd_spectroscopy(cfg: dict) -> dict:
     )
     meta = {
         "failures": failures,
-        "scan_metadata": {key: val for key, val in results[0].metadata.items() if key != "point_solves"},
+        "scan_metadata": {key: val for key, val in results[0].metadata.items()
+                          if key not in _PER_PUMP_KEYS and key != "point_solves"},
         "point_solves": [_point_solve_summary(result) for result in results],
         "baselines": [r.baseline_n_ss for r in results],
         "predicted_resonances": results[0].predicted_resonances,

@@ -122,63 +122,33 @@ def parity_operator(dims: SpaceDims) -> np.ndarray:
     return np.kron(np.diag([1.0, -1.0]), np.diag(signs)).astype(complex)
 
 
-def _fix_phases(states: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude component of each column real and positive."""
-    out = states.copy()
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        phase = out[idx, k] / abs(out[idx, k])
-        out[:, k] = out[:, k] / phase
-    return out
-
-
-def _parity_resolve(energies, states, pi_op, gap_tol):
-    """Rotate (near-)degenerate clusters onto parity eigenstates for determinism."""
-    n = len(energies)
-    k = 0
-    states = states.copy()
-    parity = np.zeros(n)
-    while k < n:
-        j = k + 1
-        while j < n and energies[j] - energies[j - 1] < gap_tol:
-            j += 1
-        block = states[:, k:j]
-        pi_block = block.conj().T @ pi_op @ block
-        if j - k > 1:
-            vals, vecs = np.linalg.eigh(0.5 * (pi_block + pi_block.conj().T))
-            block = block @ vecs
-            states[:, k:j] = block
-            parity[k:j] = np.round(vals)
-        else:
-            parity[k] = np.round(np.real(pi_block[0, 0]))
-        k = j
-    return states, parity
-
-
 def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
     """Dense Hermitian diagonalization, lowest ``keep`` eigenpairs ascending.
 
     A Hermiticity defect above 1e-12 of the largest entry (or of 1) raises
-    ``ValueError``.  Near-degenerate clusters are rotated onto parity
-    eigenstates when the matrix commutes with the joint parity, which makes
-    the output deterministic for the decoupled qubit (omega0 = 0).
+    ``ValueError``.  A joint-space matrix (even dimension >= 4) whose entries
+    between the two sectors of ``parity_operator`` are below 1e-9 of that
+    scale is diagonalized one sector at a time: each state is exactly zero
+    outside the sector whose sign ``parity`` holds, degenerate pairs
+    (omega0 = 0) included.  Any other matrix gets one ``eigh`` and no parity.
+    Eigenvectors carry no phase convention.
     """
     scale = max(max_abs(h), 1.0)
     defect = hermiticity_defect(h)
     if defect > 1e-12 * scale:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3g}")
-    energies, states = np.linalg.eigh(0.5 * (h + h.conj().T))
-    if keep is not None:
-        energies = energies[:keep]
-        states = states[:, :keep]
-
-    n_cut = h.shape[0] // 2
-    pi_op = parity_operator(SpaceDims(n_cut)) if h.shape[0] == 2 * n_cut else None
-    parity = None
-    if pi_op is not None and max_abs(h @ pi_op - pi_op @ h) < 1e-9 * scale:
-        states, parity = _parity_resolve(energies, states, pi_op, gap_tol=1e-10 * scale)
-    states = _fix_phases(states)
-    return Spectrum(energies=energies, states=states, parity=parity)
+    h = 0.5 * (h + h.conj().T)
+    n = h.shape[0]
+    even = np.diag(parity_operator(SpaceDims(n // 2))).real > 0 if n >= 4 and n % 2 == 0 else None
+    if even is None or max_abs(h[np.ix_(even, ~even)]) >= 1e-9 * scale:
+        energies, states = np.linalg.eigh(h)
+        return Spectrum(energies=energies[:keep], states=states[:, :keep])
+    (e_even, v_even), (e_odd, v_odd) = (np.linalg.eigh(h[np.ix_(sector, sector)]) for sector in (even, ~even))
+    states = np.zeros((n, n), dtype=v_even.dtype)
+    states[even, : e_even.size], states[~even, e_even.size :] = v_even, v_odd
+    energies = np.concatenate([e_even, e_odd])
+    order = np.argsort(energies, kind="stable")[:keep]
+    return Spectrum(energies=energies[order], states=states[:, order], parity=np.where(order < e_even.size, 1.0, -1.0))
 
 
 def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:

@@ -34,6 +34,17 @@ def test_resolve_rejects_unknown_keys():
     assert cfg["n_cut"] == 40 and cfg["params"]["omega0"] == 0.3
 
 
+def test_config_errors_name_the_table():
+    with pytest.raises(ConfigError, match=r"^expected a table at params, got int$"):
+        resolve_config({"params": 3}, {})
+    with pytest.raises(ConfigError, match=r"^unknown config keys at rates: \['Gama'\]$"):
+        resolve_config({"rates": {"Gama": 0.1}}, {})
+    with pytest.raises(ConfigError, match=r"^expected a table at top level, got list$"):
+        resolve_config([], {})
+    with pytest.raises(ConfigError, match=r"^relax\.dt must be a finite number > 0, got -1$"):
+        resolve_config({"relax": {"dt": -1}}, {})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
@@ -104,6 +115,7 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("spectroscopy", {"spectroscopy": {"pump_amps": [0.001, -0.001], "grid_points": 3}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.000001], "grid_points": 3}}, []),
         ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"pump_amps": [0.001], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"pump_amps": [0.0], "grid_points": 3}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
@@ -394,6 +406,10 @@ def test_spectroscopy_sidecar_summarizes_every_pump(tmp_path, monkeypatch):
     assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
     meta = json.loads((out / "spectroscopy.meta.json").read_text())
     assert [pump["label_n_ss"] for pump in meta["point_solves"]] == pytest.approx([0.5, 1.0], rel=1e-12)
+    # each summary names its own pump: amplitude sqrt(label) Gamma / 2 at BASE's Gamma
+    gamma = BASE["rates"]["Gamma"]
+    assert [pump["pump_amp"] for pump in meta["point_solves"]] == pytest.approx(
+        [gamma / 2.0 * np.sqrt(0.5), gamma / 2.0], rel=1e-12)
     for pump in meta["point_solves"]:
         assert pump["point_solver"] == "schur"
         assert pump["paths"] == {"schur": 4, "splu": 1}
@@ -401,8 +417,11 @@ def test_spectroscopy_sidecar_summarizes_every_pump(tmp_path, monkeypatch):
         assert 0.0 <= pump["residual_max"] <= 1e-10 * 0.3
         assert 0.0 <= pump["clipped_weight_max"] < 1e-10
         assert pump["baseline_residual"] <= 1e-10 * 0.3
-    # the per-point records stay out of the sidecar, and the tables gain no column
-    assert "point_solves" not in meta["scan_metadata"]
+    # the shared record holds no per-pump value, the per-point records stay out of
+    # the sidecar, and the tables gain no column
+    for key in ("pump_amp", "label_n_ss", "baseline_residual", "point_solver", "point_solves"):
+        assert key not in meta["scan_metadata"]
+    assert meta["scan_metadata"]["n_levels"] == 4 and meta["scan_metadata"]["solver"] == "corotating"
     header = [line for line in (out / "spectroscopy_scan_n1.csv").read_text().splitlines() if not line.startswith("#")][0]
     assert header == "omega_s,normalized_detuning,n_ss,percent_reduction"
 

@@ -245,6 +245,8 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
     bad = rho0.copy()
     bad[0, 6] = np.nan
     cases = [(bad, 1.0, 0.02, 5, "non-finite")]
+    # a state of neither the generator's 12 x 12 nor the full space's 80 x 80
+    cases += [(np.eye(5, dtype=complex) / 5.0, 1.0, 0.02, 5, "fits neither")]
     cases += [(rho0, t_end, 0.02, 5, "t_end") for t_end in (math.nan, math.inf, -1.0)]
     cases += [(rho0, 1.0, dt, 5, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
     # a fractional stride would sample where taken % stride == 0: every 3rd step at 1.5

@@ -57,6 +57,8 @@ def test_qubit_ops(dims40):
     assert max_abs(sz @ sx - 1j * sy) < 1e-14
     with pytest.raises(ValueError):
         qubit_op("sigma_w", dims40)
+    with pytest.raises(ValueError, match="m must be"):
+        sigma_x_eigenket(0)
 
 
 def _displacement_series(alpha: float, n_cut: int, order: int = 60) -> np.ndarray:
@@ -141,6 +143,8 @@ def test_laguerre_recurrence_against_scipy():
     for n in range(12):
         for x in (0.0, 0.01, 0.04, 0.16, 1.0, 3.7):
             assert abs(laguerre(n, x) - eval_laguerre(n, x)) < 1e-12 * max(1, abs(eval_laguerre(n, x)))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        laguerre(-1, 0.5)
 
 
 def test_algebra_helpers(dims40):

@@ -249,6 +249,17 @@ def test_validation_guards(dims40, basis):
         RateFunctions(Gamma=lambda w: -1.0).oscillator_rate(1.0)
     with pytest.raises(ValueError):
         MasterEquation(hamiltonian=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        MasterEquation(hamiltonian=np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        MasterEquation(hamiltonian=np.eye(2, dtype=complex), jumps=[JumpTerm(0.1, np.eye(3, dtype=complex))])
+    for temperature in (0.0, -0.1):
+        with pytest.raises(ValueError, match="temperature"):
+            gibbs_state(basis, temperature)
+    # past freq/T = 700 the Bose occupation (< 1e-304) is 0, not an overflow of exp
+    cold = RateFunctions.flat(0.1, 0.1, temperature=1e-3)
+    assert cold.thermal_occupation(0.69) == pytest.approx(1.0 / math.expm1(690.0), rel=1e-12, abs=0.0)
+    assert cold.thermal_occupation(1.0) == 0.0
     with pytest.raises(ValueError):
         MasterEquation(
             hamiltonian=np.eye(2, dtype=complex),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dressedrabi.hilbert import max_abs
+from dressedrabi.hilbert import SpaceDims, max_abs
 from dressedrabi.rabi import (
     RabiParams,
     diagonalize,
@@ -71,6 +71,12 @@ def test_lowest_gap_matches_overlap(dims40):
 def test_diagonalize_contracts(dims40):
     spec = diagonalize(np.eye(6, dtype=complex))
     assert np.allclose(spec.energies, 1.0)
+    # matrices too small or odd-sized to be a joint space: one plain eigh, no parity
+    for h in (np.array([[1.0, 0.5j], [-0.5j, -1.0]]), np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1j], [0.0, -1j, 1.0]])):
+        spec = diagonalize(h)
+        assert spec.parity is None
+        assert np.allclose(spec.energies, np.linalg.eigvalsh(h), atol=1e-14)
+        assert max_abs(h @ spec.states - spec.states * spec.energies) < 1e-14
     with pytest.raises(ValueError):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     h = rabi_hamiltonian(RabiParams(1.0, 0.15, 0.1), dims40)
@@ -87,6 +93,10 @@ def test_truncation_convergence(dims40):
     spec = exact_spectrum(p, dims40, keep=12)
     # converged flags an eigenvalue that moves by less than 1e-8 omega (omega = 1 here) at n_cut + 10
     assert spec.converged is not None and spec.converged.all()
+    # four Fock states cannot hold beta = 0.2's levels: the shortfall is flagged and warned
+    with pytest.warns(UserWarning, match="not converged at n_cut=4"):
+        short = exact_spectrum(p, SpaceDims(4), keep=4)
+    assert not short.converged.all()
     # more states than the truncated space holds is refused by name, not by a shape mismatch
     with pytest.raises(ValueError, match="keep=81 exceeds the 80 states"):
         exact_spectrum(p, dims40, keep=81)
@@ -99,6 +109,21 @@ def test_parity_symmetry(dims40):
     assert max_abs(h @ pi_op - pi_op @ h) < 1e-10
     spec = diagonalize(h, keep=10)
     assert np.all(np.isin(np.round(spec.parity), (-1, 1)))
+
+
+@pytest.mark.parametrize("omega0", [0.0, 0.22])
+def test_parity_sectors_are_exact(dims40, omega0):
+    # omega0 = 0 makes every parity pair exactly degenerate; 0.22 is a generic point
+    p = RabiParams(1.0, omega0, 0.13)
+    h = rabi_hamiltonian(p, dims40)
+    spec = diagonalize(h)
+    signs = np.diag(parity_operator(dims40)).real
+    assert set(spec.parity) == {-1.0, 1.0}
+    # each state vanishes exactly on the indices of the other sector
+    assert np.all(spec.states[signs[:, None] != spec.parity[None, :]] == 0)
+    residuals = np.linalg.norm(h @ spec.states - spec.states * spec.energies, axis=0)
+    assert residuals.max() < 1e-12 * max_abs(h)
+    assert np.abs(exact_spectrum(p, dims40, keep=12).energies - np.linalg.eigvalsh(h)[:12]).max() < 1e-12
 
 
 def test_ground_state_limits(dims40):

@@ -50,6 +50,14 @@ def test_run_scan_refuses_zero_coupling_before_any_solve(monkeypatch):
         run_scan(cfg)
 
 
+def test_run_scan_refuses_an_unpumped_baseline():
+    # with no pump the baseline holds no excitation, and a percent reduction of it means nothing
+    cfg = SpectroscopyConfig(params=fig3_params(), rates=fig3_rates(), pump_amp=0.0,
+                             spec_amp=1e-4, omega_s_grid=[0.28, 0.3], n_levels=4)
+    with pytest.raises(ValueError, match="is the pump on"):
+        run_scan(cfg)
+
+
 def test_a_pump_warns_once_per_flat_spectrum_assumption():
     # the pumped generator, and with it its jump list, is built once per pump
     p = fig3_params()
