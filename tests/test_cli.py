@@ -393,13 +393,14 @@ def test_spectroscopy_sidecar_summarizes_every_pump(tmp_path, monkeypatch):
     from dressedrabi.spectroscopy import default_scan_grid
 
     middle = default_scan_grid(RabiParams(1.0, 0.3, 0.1), 5, (0.5, 1.5))[2]
-    trsyl = dynamics.dtrsyl
+    qt_solve = dynamics._shifted_qt_solve
 
-    def stand_in(t, shift_block, c):
-        x, scale, info = trsyl(t, shift_block, c)
-        return (1.01 * x if shift_block[0, 0] == middle else x), scale, info
+    def stand_in(t, omegas, c):
+        x = qt_solve(t, omegas, c)
+        x[:, omegas == middle] *= 1.01
+        return x
 
-    monkeypatch.setattr(dynamics, "dtrsyl", stand_in)
+    monkeypatch.setattr(dynamics, "_shifted_qt_solve", stand_in)
     cfg_path = write_config(tmp_path, {**BASE, "n_levels": 4,
                                        "spectroscopy": {"baselines": [0.5, 1.0], "grid_points": 5, "span": [0.5, 1.5]}})
     out = tmp_path / "spec"

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import expm_multiply
 
 from dressedrabi import dynamics
@@ -11,8 +13,10 @@ from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _CHUNK,
     _DENSE_MAX,
+    _QT_LEAF,
     NumericsError,
     _reachable_block,
+    _shifted_qt_solve,
     _shifted_solver,
     _solve_liouvillian,
     _unvec,
@@ -568,7 +572,7 @@ def _per_point(point, shift, omega):
 def test_schur_solver_matches_per_point_at_the_paper_point():
     b, point, shift = _paper_pump()
     grid = fig3_params().omega0 - np.linspace(0.0, 12.0, 25) * 2 * 0.3 * 0.1**2
-    solve, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point))
+    solve, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), grid)
     assert path == "schur"
     for omega in grid:
         fast, slow = solve(float(omega)), _per_point(point, shift, float(omega))
@@ -581,15 +585,16 @@ def test_schur_solver_matches_per_point_at_the_paper_point():
 def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
     b, point, shift = _paper_pump(n_levels=6)
     grid = [0.28, 0.29, 0.3]
-    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point))
-    trsyl = dynamics.dtrsyl
+    qt_solve = dynamics._shifted_qt_solve
 
-    def stand_in(t, shift_block, c):
-        # the quasi-triangular solve of the middle point is 1% off
-        x, scale, info = trsyl(t, shift_block, c)
-        return (1.01 * x if shift_block[0, 0] == grid[1] else x), scale, info
+    def stand_in(t, omegas, c):
+        # the quasi-triangular solution of the middle grid column is 1% off
+        x = qt_solve(t, omegas, c)
+        x[:, omegas == grid[1]] *= 1.01
+        return x
 
-    monkeypatch.setattr(dynamics, "dtrsyl", stand_in)
+    monkeypatch.setattr(dynamics, "_shifted_qt_solve", stand_in)
+    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), grid)
     states = [solve(omega) for omega in grid]
     assert [ss.metadata["solve"] for ss in states] == ["schur", "splu", "schur"]
     slow = _per_point(point, shift, grid[1])
@@ -603,12 +608,98 @@ def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):
         assert len(caught) == 1
 
 
+def test_non_finite_grid_column_is_re_solved(monkeypatch):
+    _, point, shift = _paper_pump(n_levels=6)
+    grid = np.array([0.28, 0.29, 0.3])
+    qt_solve = dynamics._shifted_qt_solve
+
+    def stand_in(t, omegas, c):
+        # the middle grid column comes back as a singular shift's would
+        x = qt_solve(t, omegas, c)
+        x[:, omegas == grid[1]] = np.inf
+        return x
+
+    monkeypatch.setattr(dynamics, "_shifted_qt_solve", stand_in)
+    solve, _ = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = [solve(omega) for omega in grid]
+    assert [ss.metadata["solve"] for ss in states] == ["schur", "splu", "schur"]
+    slow = _per_point(point, shift, grid[1])
+    assert max_abs(states[1].rho - slow.rho) == 0.0 and states[1].residual == slow.residual
+
+
+def _real_schur_form(n: int, rng) -> np.ndarray:
+    """The real Schur form of a random n x n matrix, drawn again until it has a complex pair (n >= 2)."""
+    while True:
+        t, _ = schur(rng.standard_normal((n, n)), output="real")
+        if n < 2 or np.diag(t, -1).any():
+            return t
+
+
+def _dtrsyl_columns(t, omegas, c):
+    """The LAPACK quasi-triangular solve of (T + omega) x = c, one ``dtrsyl`` call per shift."""
+    columns = []
+    for omega in omegas:
+        x, scale, info = dtrsyl(t, np.array([[omega]]), c[:, None])
+        assert info == 0
+        columns.append(x[:, 0] / scale)
+    return np.column_stack(columns)
+
+
+def _pair_shifts(t) -> list[float]:
+    """Shifts within 1e-3 of -Re lambda for the complex pair of each 2 x 2 block of T."""
+    starts = np.flatnonzero(np.diag(t, -1))
+    return [-t[j, j] + delta for j in starts for delta in (-1e-3, 0.0, 1e-3)]
+
+
+def _assert_matches_dtrsyl(t, omegas, rng):
+    c = rng.standard_normal(t.shape[0])
+    fast, slow = _shifted_qt_solve(t, omegas, c), _dtrsyl_columns(t, omegas, c)
+    assert fast.shape == slow.shape == (t.shape[0], omegas.size)
+    for k in range(omegas.size):
+        assert max_abs(fast[:, k] - slow[:, k]) <= 1e-12 * max_abs(slow[:, k])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, _QT_LEAF - 1, _QT_LEAF, _QT_LEAF + 1, 288])
+def test_blocked_quasi_triangular_solve_matches_dtrsyl(n):
+    rng = np.random.default_rng(n)
+    t = _real_schur_form(n, rng)
+    omegas = np.concatenate([rng.uniform(-3.0, 3.0, 17), _pair_shifts(t)])
+    _assert_matches_dtrsyl(t, omegas, rng)
+
+
+def test_blocked_quasi_triangular_solve_keeps_a_split_block_whole():
+    # a leading block of a Schur form whose midpoint split lands on the second row of a 2 x 2 block
+    rng = np.random.default_rng(7)
+    big = _real_schur_form(288, rng)
+    sub = np.diag(big, -1) != 0
+    n = next(n for n in range(_QT_LEAF + 1, 288) if sub[n // 2 - 1] and not sub[n - 1])
+    t = big[:n, :n]
+    assert t[n // 2, n // 2 - 1] != 0.0
+    omegas = np.concatenate([rng.uniform(-3.0, 3.0, 9), _pair_shifts(t)])
+    _assert_matches_dtrsyl(t, omegas, rng)
+
+
+def test_singular_shift_gives_one_non_finite_column_and_no_warning():
+    rng = np.random.default_rng(3)
+    t = _real_schur_form(40, rng)
+    sub = np.concatenate([[0.0], np.diag(t, -1)])
+    single = next(i for i in range(40) if sub[i] == 0 and (i == 39 or t[i + 1, i] == 0))
+    omegas = np.array([0.5, -t[single, single], -0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _shifted_qt_solve(t, omegas, rng.standard_normal(40))
+    finite = np.isfinite(x).all(axis=0)
+    assert finite.tolist() == [True, False, True]
+
+
 def test_singular_same_sector_block_drops_the_pump_to_per_point_solves():
     # without dissipation the populations do not move: M_SS is singular, and
     # every point takes the per-point path, whose dense retry solves it
     me = MasterEquation(hamiltonian=np.diag([0.0, 1.0, 0.2, 1.5]).astype(complex))
     shift = MasterEquation(np.diag([0.5, 0.5, -0.5, -0.5])).liouvillian()
-    solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5)
+    solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5, [0.3])
     assert path == "splu"
     ss = solve(0.3)
     assert ss.metadata["solve"] == "lstsq" and abs(np.trace(ss.rho) - 1.0) < 1e-12
@@ -620,7 +711,7 @@ def test_cross_sector_past_the_dense_limit_keeps_per_point_solves():
     assert 2 * (d // 2) ** 2 > _DENSE_MAX
     me = MasterEquation(hamiltonian=np.diag(np.arange(d, dtype=complex)))
     shift = MasterEquation(np.diag(np.repeat([0.5, -0.5], d // 2))).liouvillian()
-    _, path = _shifted_solver(me.liouvillian(), shift, d, 1.0)
+    _, path = _shifted_solver(me.liouvillian(), shift, d, 1.0, [0.3])
     assert path == "splu"
 
 
@@ -628,7 +719,7 @@ def test_non_finite_system_fails_each_point_of_the_pump():
     _, point, shift = _paper_pump(n_levels=4)
     system = point.liouvillian().copy()
     system.data[3] = np.nan
-    solve, path = _shifted_solver(system, shift, point.dim, generator_scale(point))
+    solve, path = _shifted_solver(system, shift, point.dim, generator_scale(point), [0.3])
     assert path == "splu"
     with pytest.raises(NumericsError, match="non-finite"):
         solve(0.3)
