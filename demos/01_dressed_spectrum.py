@@ -6,6 +6,11 @@ exact dense diagonalization and with the dispersive (Schrieffer-Wolff)
 Hamiltonian, and prints the ladder frequencies of both descriptions.
 """
 
+import os
+
+# one OpenBLAS thread, as the CLI runs; OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from dressedrabi import (

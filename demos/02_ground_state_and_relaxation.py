@@ -8,7 +8,11 @@ distance d = 1 - |<Psi_0^-|g,0>| ~ beta^2/2 apart.
 """
 
 import math
+import os
 from dataclasses import replace
+
+# one OpenBLAS thread, as the CLI runs; OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -6,6 +6,11 @@ alpha_- = Omega_p / (i Gamma/2 - Delta_-), so the steady excitation number
 is 4 Omega_p^2 / Gamma^2 on resonance.
 """
 
+import os
+
+# one OpenBLAS thread, as the CLI runs; OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from dressedrabi import (

@@ -10,6 +10,11 @@ This demo uses a coarsened grid so it finishes in about a minute; the CLI
 `spectroscopy` subcommand runs the full 241-point family.
 """
 
+import os
+
+# one OpenBLAS thread, as the CLI runs; OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from dressedrabi import (

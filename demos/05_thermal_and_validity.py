@@ -10,6 +10,10 @@ coupling-dependent dressed frequencies).
 """
 
 import math
+import os
+
+# one OpenBLAS thread, as the CLI runs; OpenBLAS reads this once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -414,50 +414,33 @@ def _trace_fold(n: int, d: int, scale: float) -> sparse.csc_matrix:
 
 # columns of the Schur complement formed per block, so no dense |S| x m solve is ever held
 _SCHUR_BLOCK = 32
-# rows of a quasi-triangular block that _shifted_qt_solve substitutes one at a time
-_QT_LEAF = 24
 
 
 def _shifted_qt_solve(t: np.ndarray, omegas: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Column k of the returned m x P array solves (T + omegas[k]) x = c, for a real quasi-triangular T.
 
-    One blocked back-substitution serves every shift: T is split at a row
-    that cuts no 2 x 2 block, the lower half is solved for every shift, its
-    coupling T_12 X_2 is subtracted by one product, and the upper half
-    follows; blocks of at most ``_QT_LEAF`` rows are substituted row by row,
-    vectorized over the shifts, each 2 x 2 block in closed form.  A shift
-    that makes T + omega singular gives a non-finite column and no warning.
+    One back-substitution from the last row up serves every shift: each row,
+    or each 2 x 2 block in closed form, is solved for all the shifts at once,
+    in place on one m x P array.  A shift that makes T + omega singular gives
+    a non-finite column and no warning.
     """
     x = np.repeat(c[:, None], omegas.size, axis=1)
+    i = c.size - 1
     with np.errstate(all="ignore"):
-        _substitute(t, omegas, x, 0, c.size)
+        while i >= 0:
+            if i > 0 and t[i, i - 1] != 0.0:  # rows i - 1 and i are one 2 x 2 block
+                j = i - 1
+                r1, r2 = x[j:i + 1] - t[j:i + 1, i + 1:] @ x[i + 1:]
+                t11, t12 = t[j, j] + omegas, t[j, i]
+                t21, t22 = t[i, j], t[i, i] + omegas
+                det = t11 * t22 - t12 * t21
+                x[j] = (t22 * r1 - t12 * r2) / det
+                x[i] = (t11 * r2 - t21 * r1) / det
+                i -= 2
+            else:
+                x[i] = (x[i] - t[i, i + 1:] @ x[i + 1:]) / (t[i, i] + omegas)
+                i -= 1
     return x
-
-
-def _substitute(t: np.ndarray, omegas: np.ndarray, x: np.ndarray, lo: int, hi: int) -> None:
-    """Overwrite rows lo:hi of x with the solutions of (T[lo:hi, lo:hi] + omegas) x = x, column by column."""
-    if hi - lo > _QT_LEAF:
-        mid = (lo + hi) // 2
-        if t[mid, mid - 1] != 0.0:  # rows mid - 1 and mid are one 2 x 2 block
-            mid += 1
-        _substitute(t, omegas, x, mid, hi)
-        x[lo:mid] -= t[lo:mid, mid:hi] @ x[mid:hi]
-        _substitute(t, omegas, x, lo, mid)
-        return
-    i = hi - 1
-    while i >= lo:
-        if i > lo and t[i, i - 1] != 0.0:
-            j = i - 1
-            r1, r2 = x[j:i + 1] - t[j:i + 1, i + 1:hi] @ x[i + 1:hi]
-            a, b = t[j, j] + omegas, t[j, i]
-            c, d = t[i, j], t[i, i] + omegas
-            det = a * d - b * c
-            x[j] = (d * r1 - b * r2) / det
-            x[i] = (a * r2 - c * r1) / det
-            i -= 2
-        else:
-            x[i] = (x[i] - t[i, i + 1:hi] @ x[i + 1:hi]) / (t[i, i] + omegas)
-            i -= 1
 
 
 def _shifted_solver(system, shift, d: int, scale: float, grid):
@@ -477,11 +460,11 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     a real m x m Schur complement A, reduced once to real Schur form Z T Z^T
     (the frequency-response problem: A. J. Laub, IEEE Trans. Autom. Control
     26, 407 (1981)).  The quasi-triangular systems (T + omega) x = Z^T z of
-    every omega in ``grid`` are then solved together by one blocked
-    back-substitution, ``_shifted_qt_solve`` (about 4 ms for 241 shifts at
-    m = 288); an omega off the grid is solved on its own by the same kernel.
+    every omega in ``grid`` are then solved together by one back-substitution,
+    ``_shifted_qt_solve`` (about 5 ms for 241 shifts at m = 288); an omega off
+    the grid is solved on its own by the same kernel.
     A point then costs one product with Z, one product with E and one
-    back-solve with M_SS (about 0.4 ms at m = 288, its acceptance included),
+    back-solve with M_SS (about 0.2 ms at m = 288, its acceptance included),
     and is accepted by ``_accept`` like a ``_solve_liouvillian`` attempt;
     one whose quasi-triangular solution is non-finite (a singular
     T + omega), or whose residual max|(system + omega shift) v| exceeds

@@ -13,7 +13,6 @@ from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
     _CHUNK,
     _DENSE_MAX,
-    _QT_LEAF,
     NumericsError,
     _reachable_block,
     _shifted_qt_solve,
@@ -637,6 +636,23 @@ def _real_schur_form(n: int, rng) -> np.ndarray:
             return t
 
 
+def _one_block_size(n: int, rng, pairs: bool) -> np.ndarray:
+    """A quasi-triangular T in Schur canonical form with only 2 x 2 blocks (``pairs``, n even) or only 1 x 1 ones.
+
+    As in the Schur form of an n x n Gaussian matrix, the eigenvalues lie in
+    the disk of radius sqrt(n) and the entries above the blocks are N(0, 1).
+    """
+    t = np.triu(rng.standard_normal((n, n)), 1)
+    radius = math.sqrt(n)
+    if not pairs:
+        np.fill_diagonal(t, rng.uniform(-radius, radius, n))
+        return t
+    for j in range(0, n, 2):
+        re, im, ratio = rng.uniform(-radius, radius), rng.uniform(0.1, radius), rng.uniform(0.5, 2.0)
+        t[j:j + 2, j:j + 2] = [[re, im * ratio], [-im / ratio, re]]  # eigenvalues re +- i im
+    return t
+
+
 def _dtrsyl_columns(t, omegas, c):
     """The LAPACK quasi-triangular solve of (T + omega) x = c, one ``dtrsyl`` call per shift."""
     columns = []
@@ -661,20 +677,26 @@ def _assert_matches_dtrsyl(t, omegas, rng):
         assert max_abs(fast[:, k] - slow[:, k]) <= 1e-12 * max_abs(slow[:, k])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, _QT_LEAF - 1, _QT_LEAF, _QT_LEAF + 1, 288])
-def test_blocked_quasi_triangular_solve_matches_dtrsyl(n):
+@pytest.mark.parametrize(
+    "n, blocks",
+    [(1, "mixed"), (2, "mixed"), (3, "mixed"), (23, "mixed"), (24, "mixed"), (25, "mixed"), (288, "mixed"),
+     (288, "pairs"), (288, "singles")],
+    # only 2 x 2 blocks, as in every default scan pump's T, or an upper-triangular T
+    ids=["1", "2", "3", "23", "24", "25", "288", "pairs_only", "singles_only"],
+)
+def test_blocked_quasi_triangular_solve_matches_dtrsyl(n, blocks):
     rng = np.random.default_rng(n)
-    t = _real_schur_form(n, rng)
+    t = _real_schur_form(n, rng) if blocks == "mixed" else _one_block_size(n, rng, pairs=blocks == "pairs")
     omegas = np.concatenate([rng.uniform(-3.0, 3.0, 17), _pair_shifts(t)])
     _assert_matches_dtrsyl(t, omegas, rng)
 
 
 def test_blocked_quasi_triangular_solve_keeps_a_split_block_whole():
-    # a leading block of a Schur form whose midpoint split lands on the second row of a 2 x 2 block
+    # a leading block of a Schur form whose middle row is the second row of a 2 x 2 block, where a split would cut it
     rng = np.random.default_rng(7)
     big = _real_schur_form(288, rng)
     sub = np.diag(big, -1) != 0
-    n = next(n for n in range(_QT_LEAF + 1, 288) if sub[n // 2 - 1] and not sub[n - 1])
+    n = next(n for n in range(25, 288) if sub[n // 2 - 1] and not sub[n - 1])
     t = big[:n, :n]
     assert t[n // 2, n // 2 - 1] != 0.0
     omegas = np.concatenate([rng.uniform(-3.0, 3.0, 9), _pair_shifts(t)])
