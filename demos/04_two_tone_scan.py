@@ -6,7 +6,7 @@ omega_tilde_N = omega0 (1 - 2 beta^2 - 4 N beta^2), i.e. at normalized
 detunings (omega0 - omega_s)/(2 omega0 beta^2) = 1, 3, 5, ...  Stronger
 pumps occupy higher rungs, so the higher-N dips take over.
 
-This demo uses a coarsened grid so it finishes in about a minute; the CLI
+This demo uses a coarsened grid so it finishes in about a second; the CLI
 `spectroscopy` subcommand runs the full 241-point family.
 """
 

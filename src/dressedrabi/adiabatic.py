@@ -134,12 +134,6 @@ class DressedBasis:
         v = self.isometry
         return v.conj().T @ op_full @ v
 
-    def project_density(self, rho_full: np.ndarray) -> tuple[np.ndarray, float]:
-        """Reduced-coordinate state and the weight lost outside the retained span."""
-        rho_d = self.reduce(rho_full)
-        leakage = float(np.real(np.trace(rho_full) - np.trace(rho_d)))
-        return rho_d, leakage
-
 
 def build_basis(
     p: RabiParams,

@@ -2,9 +2,7 @@
 
 Works on whatever representation a generator carries: reduced dressed
 coordinates for generators built from a dressed basis, the full truncated
-space otherwise.  States passed in the full space are projected onto the
-retained subspace (with the lost weight reported) before integrating a
-reduced generator.
+space otherwise.  An initial state must be given in that representation.
 """
 
 from __future__ import annotations
@@ -73,27 +71,6 @@ def _slowest_relaxation_rate(me: MasterEquation) -> float:
     return min(rates) if rates else generator_scale(me)
 
 
-def _prepare_state(me: MasterEquation, rho0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Bring an initial state into the generator's representation."""
-    # the eigenvalue floor's Cholesky test would pass NaN entries through
-    if not np.isfinite(rho0).all():
-        raise ValueError("initial state has non-finite entries")
-    if rho0.shape == (me.dim, me.dim):
-        return rho0.astype(complex, copy=True), 0.0
-    if me.basis is not None:
-        full_dim = me.basis.dims.total_dim
-        if rho0.shape == (full_dim, full_dim):
-            rho_d, leakage = me.basis.project_density(rho0)
-            if leakage > 1e-10:
-                warnings.warn(
-                    f"initial state has weight {leakage:.3g} outside the retained "
-                    "dressed subspace; that weight is dropped from the evolution",
-                    stacklevel=3,
-                )
-            return rho_d, leakage
-    raise ValueError(f"state shape {rho0.shape} fits neither the generator nor the full space")
-
-
 def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     """Dressed-ladder observables of a state given in either representation.
 
@@ -101,10 +78,7 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     populations, the population of the dressed ground state |Psi_0^->
     (``ground``), and the weight outside the retained basis.
     """
-    if rho.shape == (b.reduced_dim, b.reduced_dim):
-        rho_d, leakage = rho, 0.0
-    else:
-        rho_d, leakage = b.project_density(rho)
+    rho_d = rho if rho.shape == (b.reduced_dim, b.reduced_dim) else b.reduce(rho)
     total = float(np.real(np.trace(rho)))
     pops = np.real(np.diag(rho_d))
     L = b.n_levels
@@ -116,7 +90,7 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
         "sector_minus": float(pops[:L].sum()),
         "sector_plus": float(pops[L:].sum()),
         "ground": float(pops[0]),
-        "leakage": float(total - pops.sum()) if leakage == 0.0 else leakage,
+        "leakage": float(total - pops.sum()),
         "trace": total,
     }
 
@@ -189,8 +163,10 @@ def evolve(
 ) -> Trajectory:
     """Integrate d(rho)/dt = L[rho] from 0 to t_end, sampling every ``stride`` steps of ``dt``.
 
-    Samples are taken at k dt stride and at t_end.  By default classical RK4
-    steps dt.  With ``exact`` the generator is instead propagated exactly by
+    ``rho0`` is in the generator's representation, ``me.dim`` x ``me.dim``:
+    any other shape, or a non-finite entry, raises ``ValueError``.  Samples
+    are taken at k dt stride and at t_end.  By default classical RK4 steps
+    dt.  With ``exact`` the generator is instead propagated exactly by
     the time-stepping form of ``expm_multiply`` (A. H. Al-Mohy and N. J.
     Higham, SIAM J. Sci. Comput. 33, 488 (2011)): one call per chunk of at
     most ``_CHUNK`` evenly spaced samples, and one for the last, possibly
@@ -204,10 +180,10 @@ def evolve(
     the eigenvalues themselves are computed only for a sample that fails it
     and for the final sample.  ``metadata`` records ``method`` (``"rk4"`` or
     ``"expm"``), ``block_dim`` (unknowns propagated), ``dropped_weight``,
-    ``initial_leakage``, ``max_trace_drift``, ``steps`` (RK4 steps, or exact
-    sample intervals) and ``min_eigenvalue``: the smallest of 0 and the
-    eigenvalues computed, those of the final sample and of every sample that
-    failed the Cholesky test.
+    ``max_trace_drift``, ``steps`` (RK4 steps, or exact sample intervals)
+    and ``min_eigenvalue``: the smallest of 0 and the eigenvalues computed,
+    those of the final sample and of every sample that failed the Cholesky
+    test.
     """
     # written so that NaN fails every check
     if not 0.0 <= t_end < math.inf:
@@ -216,7 +192,12 @@ def evolve(
         raise ValueError(f"dt = {dt} must be finite and > 0")
     if not (isinstance(stride, numbers.Integral) and stride >= 1):
         raise ValueError(f"stride = {stride} must be an integer >= 1")
-    rho, leakage = _prepare_state(me, rho0)
+    # the eigenvalue floor's Cholesky test would pass NaN entries through
+    if not np.isfinite(rho0).all():
+        raise ValueError("initial state has non-finite entries")
+    if rho0.shape != (me.dim, me.dim):
+        raise ValueError(f"state shape {rho0.shape} does not fit the generator's {me.dim} x {me.dim}")
+    rho = rho0.astype(complex, copy=True)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))
 
@@ -300,7 +281,6 @@ def evolve(
             "method": method,
             "block_dim": block_dim,
             "dropped_weight": dropped,
-            "initial_leakage": leakage,
             "max_trace_drift": max_drift,
             "min_eigenvalue": min_eig_seen,
             "steps": steps,
@@ -446,9 +426,10 @@ def _shifted_qt_solve(t: np.ndarray, omegas: np.ndarray, c: np.ndarray) -> np.nd
 def _shifted_solver(system, shift, d: int, scale: float, grid):
     """Steady states of ``system + omega * shift``, prepared for every omega of ``grid``: returns (solve, path).
 
-    ``solve(omega)`` returns the ``SteadyState``; ``path`` names what each
-    point tries first.  ``system`` is a Hermiticity-preserving d^2 x d^2
-    generator and ``shift`` a diagonal one, B = -i[F, .] for a diagonal F.
+    ``solve(omega)`` returns the ``SteadyState`` of an omega of ``grid``;
+    ``path`` names what each point tries first.  ``system`` is a
+    Hermiticity-preserving d^2 x d^2 generator and ``shift`` a diagonal one,
+    B = -i[F, .] for a diagonal F.
 
     ``"schur"``: the unknowns S where B vanishes (row 0 and the trace fold
     among them) are eliminated once, by one splu of M_SS, the folded system
@@ -461,8 +442,8 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     (the frequency-response problem: A. J. Laub, IEEE Trans. Autom. Control
     26, 407 (1981)).  The quasi-triangular systems (T + omega) x = Z^T z of
     every omega in ``grid`` are then solved together by one back-substitution,
-    ``_shifted_qt_solve`` (about 5 ms for 241 shifts at m = 288); an omega off
-    the grid is solved on its own by the same kernel.
+    ``_shifted_qt_solve`` (about 5 ms for 241 shifts at m = 288), and
+    ``solve(omega)`` reads its grid column.
     A point then costs one product with Z, one product with E and one
     back-solve with M_SS (about 0.2 ms at m = 288, its acceptance included),
     and is accepted by ``_accept`` like a ``_solve_liouvillian`` attempt;
@@ -470,7 +451,8 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     T + omega), or whose residual max|(system + omega shift) v| exceeds
     ``_RESIDUAL_TOL * scale``, is re-solved by ``_solve_liouvillian`` and
     records that path.  Besides the m x len(grid) solutions, at most two
-    dense m x m arrays are held: A, overwritten by T, and Z.
+    dense m x m arrays are held: A, overwritten by T, and Z, and the points
+    keep only Z.
 
     ``"splu"``, every point by ``_solve_liouvillian``: for m above
     ``_DENSE_MAX``, a non-finite system, a singular M_SS or a failed Schur
@@ -525,12 +507,10 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     y = lu.solve(b_same)
     qz = real_form(-inv_b * (m_us @ y)) @ q
     grid = np.asarray(grid, dtype=float)
-    x = _shifted_qt_solve(t, grid, qz)
-    columns = {float(omega): k for k, omega in enumerate(grid)}
+    columns = dict(zip(grid.tolist(), _shifted_qt_solve(t, grid, qz).T))
 
     def solve(omega: float) -> SteadyState:
-        k = columns.get(omega)
-        x_k = x[:, k] if k is not None else _shifted_qt_solve(t, np.array([omega]), qz)[:, 0]
+        x_k = columns[omega]
         if np.isfinite(x_k).all():
             w = q @ x_k
             v = embed @ w
@@ -565,14 +545,14 @@ def steady_state_longtime(me: MasterEquation, rho0: np.ndarray, dt: float) -> St
 
     RK4 runs in blocks of 5 over the slowest relaxation rate and stops once
     the residual is below 1e-7 times the generator scale, or fails with
-    ``NumericsError`` after 200 over that rate.
+    ``NumericsError`` after 200 over that rate.  ``rho0`` is taken as by
+    ``evolve``.
     """
     scale = generator_scale(me)
-    rho, _ = _prepare_state(me, rho0)
     slowest = _slowest_relaxation_rate(me)
     block = 5.0 / slowest
     limit = 200.0 / slowest
-    t = 0.0
+    rho, t = rho0, 0.0
     while t < limit:
         traj = evolve(me, rho, block, dt, store_states=True, stride=10**9)
         rho = traj.states[-1]

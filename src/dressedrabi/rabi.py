@@ -106,7 +106,6 @@ class Spectrum:
     energies: np.ndarray
     states: np.ndarray
     converged: np.ndarray | None = None
-    parity: np.ndarray | None = None
 
 
 def rabi_hamiltonian(p: RabiParams, dims: SpaceDims) -> np.ndarray:
@@ -123,15 +122,14 @@ def parity_operator(dims: SpaceDims) -> np.ndarray:
 
 
 def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
-    """Dense Hermitian diagonalization, lowest ``keep`` eigenpairs ascending.
+    """Dense diagonalization of a parity-conserving joint-space Hamiltonian, lowest ``keep`` eigenpairs ascending.
 
-    A Hermiticity defect above 1e-12 of the largest entry (or of 1) raises
-    ``ValueError``.  A joint-space matrix (even dimension >= 4) whose entries
-    between the two sectors of ``parity_operator`` are below 1e-9 of that
-    scale is diagonalized one sector at a time: each state is exactly zero
-    outside the sector whose sign ``parity`` holds, degenerate pairs
-    (omega0 = 0) included.  Any other matrix gets one ``eigh`` and no parity.
-    Eigenvectors carry no phase convention.
+    The matrix is diagonalized one sector of ``parity_operator`` at a time,
+    so each state is exactly zero outside its sector, degenerate pairs
+    (omega0 = 0) included.  ``ValueError`` refuses a Hermiticity defect
+    above 1e-12 of the largest entry (or of 1), a size that is no joint
+    space (odd, or below 4), and entries between the two sectors at or above
+    1e-9 of that scale.  Eigenvectors carry no phase convention.
     """
     scale = max(max_abs(h), 1.0)
     defect = hermiticity_defect(h)
@@ -139,16 +137,18 @@ def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3g}")
     h = 0.5 * (h + h.conj().T)
     n = h.shape[0]
-    even = np.diag(parity_operator(SpaceDims(n // 2))).real > 0 if n >= 4 and n % 2 == 0 else None
-    if even is None or max_abs(h[np.ix_(even, ~even)]) >= 1e-9 * scale:
-        energies, states = np.linalg.eigh(h)
-        return Spectrum(energies=energies[:keep], states=states[:, :keep])
+    if n % 2 or n < 4:
+        raise ValueError(f"a {n} x {n} matrix is no joint space of the qubit and >= 2 Fock states")
+    even = np.diag(parity_operator(SpaceDims(n // 2))).real > 0
+    coupling = max_abs(h[np.ix_(even, ~even)])
+    if coupling >= 1e-9 * scale:
+        raise ValueError(f"matrix couples the two parity sectors: largest entry {coupling:.3g}")
     (e_even, v_even), (e_odd, v_odd) = (np.linalg.eigh(h[np.ix_(sector, sector)]) for sector in (even, ~even))
     states = np.zeros((n, n), dtype=v_even.dtype)
     states[even, : e_even.size], states[~even, e_even.size :] = v_even, v_odd
     energies = np.concatenate([e_even, e_odd])
     order = np.argsort(energies, kind="stable")[:keep]
-    return Spectrum(energies=energies[order], states=states[:, order], parity=np.where(order < e_even.size, 1.0, -1.0))
+    return Spectrum(energies=energies[order], states=states[:, order])
 
 
 def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:

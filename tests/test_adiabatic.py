@@ -96,7 +96,7 @@ def test_pair_splitting_stays_above_half_omega0_up_to_the_cap(beta):
 
 
 def test_isometry_is_built_once(dims40):
-    # reduce and project_density both read it: one hstack per basis
+    # every reduce reads it: one hstack per basis
     b = build_basis(RabiParams(1.0, 0.3, 0.1), 4, dims40)
     assert b.isometry is b.isometry and not b.isometry.flags.writeable
     assert np.array_equal(b.isometry, np.hstack([b.states_minus, b.states_plus]))

@@ -248,8 +248,10 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
     bad = rho0.copy()
     bad[0, 6] = np.nan
     cases = [(bad, 1.0, 0.02, 5, "non-finite")]
-    # a state of neither the generator's 12 x 12 nor the full space's 80 x 80
-    cases += [(np.eye(5, dtype=complex) / 5.0, 1.0, 0.02, 5, "fits neither")]
+    # a state other than the generator's 12 x 12, the full space's 80 x 80 included
+    full = np.zeros((dims40.total_dim, dims40.total_dim), dtype=complex)
+    full[dims40.n_cut, dims40.n_cut] = 1.0
+    cases += [(state, 1.0, 0.02, 5, "does not fit") for state in (np.eye(5, dtype=complex) / 5.0, full)]
     cases += [(rho0, t_end, 0.02, 5, "t_end") for t_end in (math.nan, math.inf, -1.0)]
     cases += [(rho0, 1.0, dt, 5, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
     # a fractional stride would sample where taken % stride == 0: every 3rd step at 1.5
@@ -257,6 +259,10 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
     for state, t_end, dt, stride, match in cases:
         with pytest.raises(ValueError, match=match):
             evolve(me, state, t_end, dt, stride=stride, exact=exact)
+    # the long-time solver takes its state as evolve does
+    for state, match in [(bad, "non-finite"), (full, "does not fit")]:
+        with pytest.raises(ValueError, match=match):
+            steady_state_longtime(me, state, dt=0.02)
     # a numpy integer is a stride
     assert len(evolve(me, rho0, 0.2, 0.02, stride=np.int64(2), exact=exact).times) == 6
 
@@ -289,23 +295,6 @@ def test_ground_readout_matches_stored_states():
             assert light.states is None and len(light.times) == len(stored.states) == 11
             expected = np.array([np.real(ground(s)) for s in stored.states])
             assert max_abs(light.observables["ground"] - expected) < 1e-14, (me.dim, exact)
-
-
-def test_full_space_initial_state_is_projected(dims40):
-    b = _basis(dims40)
-    rates, _, _ = _moderate_rates()
-    me = zero_temperature_dme(b, rates)
-    ket = b.state(0, "-")
-    rho_full = np.outer(ket, ket.conj())
-    traj = evolve(me, rho_full, 1.0, 0.05)
-    assert traj.metadata["initial_leakage"] < 1e-10
-    # a state with weight outside the retained span warns and drops it
-    stray = np.zeros(dims40.total_dim, dtype=complex)
-    stray[dims40.n_cut - 1] = 1.0
-    rho_mix = 0.5 * rho_full + 0.5 * np.outer(stray, stray.conj())
-    with pytest.warns(UserWarning):
-        traj = evolve(me, rho_mix, 0.5, 0.05)
-    assert abs(traj.metadata["initial_leakage"] - 0.5) < 1e-6
 
 
 def test_trace_breach_aborts(dims40):
@@ -677,29 +666,30 @@ def _assert_matches_dtrsyl(t, omegas, rng):
         assert max_abs(fast[:, k] - slow[:, k]) <= 1e-12 * max_abs(slow[:, k])
 
 
+def _leading_block(n: int, rng) -> np.ndarray:
+    """A leading k x k block, k >= 25, of an n x n Schur form: it keeps its 2 x 2 blocks whole and has one at its middle row."""
+    big = _real_schur_form(n, rng)
+    sub = np.diag(big, -1) != 0
+    k = next(k for k in range(25, n) if sub[k // 2 - 1] and not sub[k - 1])
+    return big[:k, :k]
+
+
 @pytest.mark.parametrize(
     "n, blocks",
     [(1, "mixed"), (2, "mixed"), (3, "mixed"), (23, "mixed"), (24, "mixed"), (25, "mixed"), (288, "mixed"),
-     (288, "pairs"), (288, "singles")],
-    # only 2 x 2 blocks, as in every default scan pump's T, or an upper-triangular T
-    ids=["1", "2", "3", "23", "24", "25", "288", "pairs_only", "singles_only"],
+     (288, "pairs"), (288, "singles"), (288, "leading")],
+    # only 2 x 2 blocks, as in every default scan pump's T, an upper-triangular T, or a Schur form's leading block
+    ids=["1", "2", "3", "23", "24", "25", "288", "pairs_only", "singles_only", "leading_block"],
 )
-def test_blocked_quasi_triangular_solve_matches_dtrsyl(n, blocks):
+def test_quasi_triangular_solve_matches_dtrsyl(n, blocks):
     rng = np.random.default_rng(n)
-    t = _real_schur_form(n, rng) if blocks == "mixed" else _one_block_size(n, rng, pairs=blocks == "pairs")
+    if blocks == "mixed":
+        t = _real_schur_form(n, rng)
+    elif blocks == "leading":
+        t = _leading_block(n, rng)
+    else:
+        t = _one_block_size(n, rng, pairs=blocks == "pairs")
     omegas = np.concatenate([rng.uniform(-3.0, 3.0, 17), _pair_shifts(t)])
-    _assert_matches_dtrsyl(t, omegas, rng)
-
-
-def test_blocked_quasi_triangular_solve_keeps_a_split_block_whole():
-    # a leading block of a Schur form whose middle row is the second row of a 2 x 2 block, where a split would cut it
-    rng = np.random.default_rng(7)
-    big = _real_schur_form(288, rng)
-    sub = np.diag(big, -1) != 0
-    n = next(n for n in range(25, 288) if sub[n // 2 - 1] and not sub[n - 1])
-    t = big[:n, :n]
-    assert t[n // 2, n // 2 - 1] != 0.0
-    omegas = np.concatenate([rng.uniform(-3.0, 3.0, 9), _pair_shifts(t)])
     _assert_matches_dtrsyl(t, omegas, rng)
 
 

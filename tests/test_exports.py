@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -82,6 +83,22 @@ def test_every_public_method_has_a_caller():
                 if not any(use.search(line) for line in lines):
                     uncalled.add(f"{cls.__name__}.{attr}")
     assert not uncalled, f"public methods with no caller: {sorted(uncalled)}"
+
+
+def test_every_dataclass_field_is_read():
+    # a result field that no caller reads is dead weight too: each must appear as ".name"
+    lines = _caller_lines()
+    unread = set()
+    for module in ["", *MODULES]:
+        mod = importlib.import_module(f"dressedrabi.{module}" if module else "dressedrabi")
+        for cls in (getattr(mod, name) for name in mod.__all__):
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+                continue
+            for attr in (f.name for f in dataclasses.fields(cls)):
+                use = re.compile(rf"\.{re.escape(attr)}\b")
+                if not any(use.search(line) for line in lines):
+                    unread.add(f"{cls.__name__}.{attr}")
+    assert not unread, f"dataclass fields with no reader: {sorted(unread)}"
 
 
 def test_only_the_liouvillian_builds_superoperators():

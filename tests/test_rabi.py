@@ -17,6 +17,13 @@ from dressedrabi.rabi import (
 from conftest import basis_ket
 
 
+def _sectors(states: np.ndarray, dims: SpaceDims) -> np.ndarray:
+    """Each column's parity read from its support: +1 or -1 if it is exactly zero outside that sector, else 0."""
+    signs = np.diag(parity_operator(dims)).real
+    even, odd = (np.all(states[signs == -sign] == 0, axis=0) for sign in (1.0, -1.0))
+    return np.where(even, 1.0, 0.0) - np.where(odd, 1.0, 0.0)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         RabiParams(omega=0.0)
@@ -49,9 +56,8 @@ def test_degenerate_qubit_spectrum(dims40):
         expect = 1.0 * (n - 0.01)
         assert abs(spec.energies[2 * n] - expect) < 1e-9
         assert abs(spec.energies[2 * n + 1] - expect) < 1e-9
-    # deterministic parity labels on the degenerate pairs
-    assert spec.parity is not None
-    assert set(np.round(spec.parity[:4]).astype(int)) == {-1, 1}
+    # each state of the degenerate pairs lies in one parity sector
+    assert set(_sectors(spec.states[:, :4], dims40)) == {-1.0, 1.0}
 
 
 def test_ground_energy_vs_dressed_formula(dims40):
@@ -71,13 +77,13 @@ def test_lowest_gap_matches_overlap(dims40):
 def test_diagonalize_contracts(dims40):
     spec = diagonalize(np.eye(6, dtype=complex))
     assert np.allclose(spec.energies, 1.0)
-    # matrices too small or odd-sized to be a joint space: one plain eigh, no parity
-    for h in (np.array([[1.0, 0.5j], [-0.5j, -1.0]]), np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1j], [0.0, -1j, 1.0]])):
-        spec = diagonalize(h)
-        assert spec.parity is None
-        assert np.allclose(spec.energies, np.linalg.eigvalsh(h), atol=1e-14)
-        assert max_abs(h @ spec.states - spec.states * spec.energies) < 1e-14
-    with pytest.raises(ValueError):
+    # matrices too small or odd-sized to be a joint space, or coupling the two parity sectors
+    for h, match in [(np.array([[1.0, 0.5j], [-0.5j, -1.0]]), "no joint space"),
+                     (np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 1j], [0.0, -1j, 1.0]]), "no joint space"),
+                     (np.ones((4, 4)), "couples the two parity sectors")]:
+        with pytest.raises(ValueError, match=match):
+            diagonalize(h)
+    with pytest.raises(ValueError, match="not Hermitian"):
         diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     h = rabi_hamiltonian(RabiParams(1.0, 0.15, 0.1), dims40)
     spec = diagonalize(h, keep=6)
@@ -108,7 +114,7 @@ def test_parity_symmetry(dims40):
     pi_op = parity_operator(dims40)
     assert max_abs(h @ pi_op - pi_op @ h) < 1e-10
     spec = diagonalize(h, keep=10)
-    assert np.all(np.isin(np.round(spec.parity), (-1, 1)))
+    assert np.all(np.isin(_sectors(spec.states, dims40), (-1, 1)))
 
 
 @pytest.mark.parametrize("omega0", [0.0, 0.22])
@@ -117,10 +123,9 @@ def test_parity_sectors_are_exact(dims40, omega0):
     p = RabiParams(1.0, omega0, 0.13)
     h = rabi_hamiltonian(p, dims40)
     spec = diagonalize(h)
-    signs = np.diag(parity_operator(dims40)).real
-    assert set(spec.parity) == {-1.0, 1.0}
-    # each state vanishes exactly on the indices of the other sector
-    assert np.all(spec.states[signs[:, None] != spec.parity[None, :]] == 0)
+    # each state vanishes exactly on the indices of the other sector, and each sector holds n_cut states
+    sectors = _sectors(spec.states, dims40)
+    assert set(sectors) == {-1.0, 1.0} and (sectors == 1.0).sum() == dims40.n_cut
     residuals = np.linalg.norm(h @ spec.states - spec.states * spec.energies, axis=0)
     assert residuals.max() < 1e-12 * max_abs(h)
     assert np.abs(exact_spectrum(p, dims40, keep=12).energies - np.linalg.eigvalsh(h)[:12]).max() < 1e-12
