@@ -28,7 +28,6 @@ import numpy as np
 from .hilbert import (
     SpaceDims,
     laguerre,
-    max_abs,
     osc_displacement,
     sigma_x_eigenket,
 )
@@ -83,7 +82,6 @@ class DressedBasis:
     omega_minus: float
     omega_plus: float
     omega_tilde: np.ndarray
-    orthonormality_defect: float = 0.0
 
     @property
     def reduced_dim(self) -> int:
@@ -96,27 +94,31 @@ class DressedBasis:
         v.flags.writeable = False  # every caller shares this array
         return v
 
-    def state(self, n: int, sector: str) -> np.ndarray:
-        block = self.states_minus if sector == "-" else self.states_plus
-        return block[:, n]
+    def sector_block(self, sector: str) -> slice:
+        """Reduced indices of one ladder, minus first: ``"-"`` is 0..L-1, ``"+"`` is L..2L-1.
 
-    def reduced_index(self, n: int, sector: str) -> int:
-        return n + (self.n_levels if sector == "+" else 0)
+        The one place a sector string is read; any other string raises ``ValueError``.
+        """
+        if sector not in ("-", "+"):
+            raise ValueError(f"unknown sector {sector!r}; choose '-' or '+'")
+        start = 0 if sector == "-" else self.n_levels
+        return slice(start, start + self.n_levels)
+
+    def state(self, n: int, sector: str) -> np.ndarray:
+        return self.isometry[:, self.sector_block(sector)][:, n]
 
     # -- exact reduced-coordinate operators ---------------------------------
 
     def reduced_ladder(self, sector: str) -> np.ndarray:
-        L = self.n_levels
+        block = self.sector_block(sector)
         ladder = np.zeros((self.reduced_dim, self.reduced_dim), dtype=complex)
-        off = L if sector == "+" else 0
-        for n in range(L - 1):
-            ladder[off + n, off + n + 1] = math.sqrt(n + 1)
+        ladder[block, block] = np.diag(np.sqrt(np.arange(1, self.n_levels, dtype=float)), 1)
         return ladder
 
     def reduced_cross(self, n: int) -> np.ndarray:
         """|Psi_n^-><Psi_n^+| in reduced coordinates."""
         op = np.zeros((self.reduced_dim, self.reduced_dim), dtype=complex)
-        op[self.reduced_index(n, "-"), self.reduced_index(n, "+")] = 1.0
+        op[self.sector_block("-"), self.sector_block("+")][n, n] = 1.0  # a view of the cross block
         return op
 
     def reduced_dephasing_op(self) -> np.ndarray:
@@ -151,20 +153,21 @@ def build_basis(
       omega_+- = omega -+ 2 omega0 beta^2 and the constant dropped; this is
       the harmonic-ladder form the master-equation generators use.
 
-    Raises ``ValueError`` for an unknown ``energy_mode``; for ``n_levels`` below
-    1, above ``dims.n_cut`` or above the hard cap 1/(8 beta^2) of
-    ``n_levels_cap``; and for a basis that is not orthonormal to 1e-9.  Below
-    the cap every pair splitting E_N^+ - E_N^- is at least omega0/2 in both
-    modes.  The soft limits of the regime (the comfort bound 1/(20 beta^2),
-    omega0 = 0, the coupling and secular margins) are not checked here:
-    ``validity_report`` grades them.
+    Raises ``ValueError`` for an unknown ``energy_mode`` and for ``n_levels``
+    below 1, at or above ``dims.n_cut``, or above the hard cap 1/(8 beta^2) of
+    ``n_levels_cap``.  So n_levels < n_cut always holds: a reduced state
+    (2 n_levels) and a full-space one (2 n_cut) never share a shape, which is
+    how ``observables`` tells them apart.  Below the cap every pair splitting
+    E_N^+ - E_N^- is at least omega0/2 in both modes.  The soft limits of the
+    regime (the comfort bound 1/(20 beta^2), omega0 = 0, the coupling and
+    secular margins) are not checked here: ``validity_report`` grades them.
     """
     if energy_mode not in ("exact_overlap", "truncated"):
         raise ValueError(f"unknown energy_mode {energy_mode!r}")
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
-    if n_levels > dims.n_cut:
-        raise ValueError(f"n_levels={n_levels} exceeds the Fock truncation n_cut={dims.n_cut}")
+    if n_levels >= dims.n_cut:
+        raise ValueError(f"n_levels={n_levels} must be below the Fock truncation n_cut={dims.n_cut}")
     cap, _ = n_levels_cap(p.beta)
     if cap is not None and n_levels > cap:
         raise ValueError(
@@ -193,7 +196,7 @@ def build_basis(
     else:
         energies_minus, energies_plus = p.ladder_energies(n_levels)
 
-    basis = DressedBasis(
+    return DressedBasis(
         params=p,
         dims=dims,
         n_levels=n_levels,
@@ -205,14 +208,6 @@ def build_basis(
         omega_plus=p.omega_plus,
         omega_tilde=p.omega_tilde(n_levels),
     )
-    v = basis.isometry
-    basis.orthonormality_defect = max_abs(v.conj().T @ v - np.eye(2 * n_levels))
-    if basis.orthonormality_defect > 1e-9:
-        raise ValueError(
-            f"dressed basis orthonormality defect {basis.orthonormality_defect:.3g}; "
-            "raise n_cut"
-        )
-    return basis
 
 
 @dataclass

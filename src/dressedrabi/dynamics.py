@@ -622,6 +622,5 @@ def coherent_dressed_ket(b: DressedBasis, alpha: complex, sector: str) -> np.nda
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, L, dtype=float))]))
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
     ket = np.zeros(2 * L, dtype=complex)
-    block = slice(0, L) if sector == "-" else slice(L, 2 * L)
-    ket[block] = amps
+    ket[b.sector_block(sector)] = amps
     return ket / np.linalg.norm(ket)

@@ -56,9 +56,7 @@ def annihilation(dims: SpaceDims) -> np.ndarray:
 
 
 _PAULI = {
-    "identity": np.eye(2, dtype=complex),
     "sigma_x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "sigma_y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "sigma_z": np.array([[1, 0], [0, -1]], dtype=complex),
     "sigma_plus": np.array([[0, 1], [0, 0]], dtype=complex),
     "sigma_minus": np.array([[0, 0], [1, 0]], dtype=complex),
@@ -68,8 +66,8 @@ _PAULI = {
 def qubit_op(which: str, dims: SpaceDims) -> np.ndarray:
     """Qubit operator tensored with the oscillator identity.
 
-    ``which`` is one of identity, sigma_x, sigma_y, sigma_z, sigma_plus,
-    sigma_minus.  Convention: sigma_z|e> = +|e>, sigma_z|g> = -|g>.
+    ``which`` is one of sigma_x, sigma_z, sigma_plus, sigma_minus.
+    Convention: sigma_z|e> = +|e>, sigma_z|g> = -|g>.
     """
     try:
         q = _PAULI[which]

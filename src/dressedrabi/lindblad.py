@@ -5,9 +5,12 @@ weighted jump operators (pure dephasing is one of them, the Hermitian jump
 S_z).  The pump enters in its rotating frame; the spectroscopy probe is
 added to the pumped generator by ``spectroscopy``, in either of its two
 solvers.  Generators built from a :class:`DressedBasis` carry it and are
-stored in its exact reduced dressed coordinates, where the retained subspace
-is the whole representation; the bare-operator generator lives on the full
-truncated space.
+stored in its exact reduced dressed coordinates (2 n_levels), where the
+retained subspace is the whole representation; the bare-operator generator
+lives on the full truncated space (2 n_cut).  ``build_basis`` keeps
+n_levels < n_cut, so the two never share a shape.  ``relax`` and demo 02
+attach a basis to the full-space generator only to read its states out
+through ``observables``.
 """
 
 from __future__ import annotations

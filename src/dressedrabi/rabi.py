@@ -160,8 +160,7 @@ def exact_spectrum(p: RabiParams, dims: SpaceDims, keep: int) -> Spectrum:
     if keep > dims.total_dim:
         raise ValueError(f"keep={keep} exceeds the {dims.total_dim} states of the truncated space, n_cut={dims.n_cut}")
     spec = diagonalize(rabi_hamiltonian(p, dims), keep=keep)
-    bigger = SpaceDims(dims.n_cut + 10)
-    ref = np.linalg.eigvalsh(rabi_hamiltonian(p, bigger))[:keep]
+    ref = diagonalize(rabi_hamiltonian(p, SpaceDims(dims.n_cut + 10)), keep=keep).energies
     shifts = np.abs(spec.energies - ref)
     spec.converged = shifts < 1e-8 * p.omega
     if not spec.converged.all():

@@ -77,7 +77,7 @@ def test_orthonormality_and_oracle_fidelity(dims40, omega0, beta, floor):
     cap, _ = n_levels_cap(beta)
     levels = 6 if cap is None else min(6, cap)
     b = build_basis(p, levels, dims40)
-    assert b.orthonormality_defect < 1e-9
+    assert max_abs(b.isometry.conj().T @ b.isometry - np.eye(2 * levels)) < 1e-9
     spec = exact_spectrum(p, dims40, keep=2 * levels)
     candidates = np.hstack([b.states_minus, b.states_plus])
     _, _, fid = max_overlap_pairing(candidates, spec.states)
@@ -181,12 +181,12 @@ def test_dressed_matrix_elements(dims40):
         num = b.state(n, "+").conj() @ x @ b.state(n + 1, "+")
         assert abs(num - math.sqrt(n + 1)) < 1e-3
         for sector in "+-":
-            i, j = b.reduced_index(n, sector), b.reduced_index(n + 1, sector)
-            assert abs(x_reduced[i, j] - math.sqrt(n + 1)) < 1e-12
+            block = b.sector_block(sector)
+            assert abs(x_reduced[block, block][n, n + 1] - math.sqrt(n + 1)) < 1e-12
     for n in range(5):
         num = b.state(n, "-").conj() @ x @ b.state(n, "+")
         assert abs(num - (-2 * p.beta)) < 1e-3
-        assert abs(x_reduced[b.reduced_index(n, "-"), b.reduced_index(n, "+")] - (-2 * p.beta)) < 1e-12
+        assert abs(x_reduced[b.sector_block("-"), b.sector_block("+")][n, n] - (-2 * p.beta)) < 1e-12
     # the expanded operator agrees with the numeric sandwich on every pair
     v = b.isometry
     numeric = v.conj().T @ x @ v
@@ -248,6 +248,16 @@ def test_build_basis_guards(dims40):
         build_basis(RabiParams(1.0, 0.3, 0.1), 0, dims40)
     with pytest.raises(ValueError):
         build_basis(RabiParams(1.0, 0.3, 0.1), 5, dims40, energy_mode="approximate")
+    # n_levels < n_cut: a reduced state (2 n_levels) never has a full-space shape (2 n_cut)
+    for n in (2, 5, 12):
+        with pytest.raises(ValueError, match=f"n_levels={n} .*n_cut={n}"):
+            build_basis(RabiParams(1.0, 0.3, 0.1), n, SpaceDims(n))
+    # a sector is "-" or "+" and nothing else
+    b = build_basis(RabiParams(1.0, 0.3, 0.1), 5, dims40)
+    for sector in ("minus", "", "+-"):
+        for read in (lambda: b.state(0, sector), lambda: b.reduced_ladder(sector)):
+            with pytest.raises(ValueError, match="unknown sector"):
+                read()
 
 
 def test_validity_report():

@@ -116,6 +116,8 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.000001], "grid_points": 3}}, []),
         ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"pump_amps": [0.001], "grid_points": 3}}, []),
         ("spectroscopy", {"spectroscopy": {"pump_amps": [0.0], "grid_points": 3}}, []),
+        # n_levels must stay below n_cut, or the full-space states of relax read as reduced ones
+        ("relax", {"rates": {"Gamma": 0.1, "gamma": 0.1}, "n_cut": 12, "n_levels": 12}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):

@@ -482,6 +482,9 @@ def test_observables_and_expansion(dims40):
     ket = coherent_dressed_ket(b, 0.7, "-")
     rho_c = np.outer(ket, ket.conj())
     assert abs(observables(rho_c, b)["n_minus"] - 0.49) < 1e-6
+    for sector in ("minus", ""):
+        with pytest.raises(ValueError, match="unknown sector"):
+            coherent_dressed_ket(b, 0.7, sector)
     # expansion back to the full space preserves the observables
     full = expand(b, rho_c)
     assert full.shape == (dims40.total_dim, dims40.total_dim)
@@ -493,6 +496,9 @@ def test_observables_and_expansion(dims40):
     stray[dims40.n_cut - 1] = 1.0
     obs_stray = observables(np.outer(stray, stray.conj()), b)
     assert abs(obs_stray["leakage"] - 1.0) < 1e-9
+    # at the smallest truncation a basis allows, n_cut = n_levels + 1, the two shapes still differ
+    tight = _basis(SpaceDims(13), n_levels=12)
+    assert observables(expand(tight, rho_c), tight) == pytest.approx(observables(rho_c, tight), abs=1e-12)
 
 
 def test_sector_flow_rate_equations(dims40):

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import inspect
 import json
 import pkgutil
 import os
@@ -110,6 +111,23 @@ def test_only_the_liouvillian_builds_superoperators():
         for path in sorted((ROOT / "src" / "dressedrabi").glob("*.py"))
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if hand_built.search(line)
+    ]
+    assert found == []
+
+
+def test_only_the_sector_map_reads_a_sector():
+    # DressedBasis.sector_block is the one code that turns "-" or "+" into a ladder block;
+    # a hand-written sector comparison elsewhere may read an unknown string as either ladder
+    from dressedrabi.adiabatic import DressedBasis
+
+    source, first = inspect.getsourcelines(DressedBasis.sector_block)
+    the_map = range(first, first + len(source))
+    compared = re.compile(r"\bsector\s*[!=]=|[!=]=\s*sector\b")
+    found = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "dressedrabi").glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if compared.search(line) and not (path.name == "adiabatic.py" and number in the_map)
     ]
     assert found == []
 

@@ -45,18 +45,19 @@ def test_number_operator_exact(dims40):
 
 
 def test_qubit_ops(dims40):
+    # the four operators the program uses
     sx = qubit_op("sigma_x", dims40)
-    sy = qubit_op("sigma_y", dims40)
     sz = qubit_op("sigma_z", dims40)
     sp = qubit_op("sigma_plus", dims40)
     sm = qubit_op("sigma_minus", dims40)
     plus = np.kron(sigma_x_eigenket(+1), np.eye(dims40.n_cut)[0])
     assert np.allclose(sx @ plus, plus)
-    eye = qubit_op("identity", dims40)
-    assert max_abs(sp @ sm + sm @ sp - eye) < 1e-14
-    assert max_abs(sz @ sx - 1j * sy) < 1e-14
-    with pytest.raises(ValueError):
-        qubit_op("sigma_w", dims40)
+    assert max_abs(sp @ sm + sm @ sp - np.eye(dims40.total_dim)) < 1e-14
+    assert max_abs(sp @ sm - sm @ sp - sz) < 1e-14
+    assert max_abs(sp + sm - sx) < 1e-14
+    for which in ("sigma_w", "identity", "sigma_y"):
+        with pytest.raises(ValueError):
+            qubit_op(which, dims40)
     with pytest.raises(ValueError, match="m must be"):
         sigma_x_eigenket(0)
 
