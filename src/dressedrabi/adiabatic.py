@@ -19,7 +19,6 @@ retained subspace.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,13 +69,12 @@ def n_levels_cap(beta: float) -> tuple[int | None, int | None]:
 
 @dataclass
 class DressedBasis:
-    """Retained dressed ladders {|Psi_N^+->, E_N^+-} with their reduced algebra."""
+    """Retained dressed ladders {|Psi_N^+->, E_N^+-}, stored as the isometry V, and their reduced algebra."""
 
     params: RabiParams
     dims: SpaceDims
     n_levels: int
-    states_minus: np.ndarray  # total_dim x n_levels, columns |Psi_N^->
-    states_plus: np.ndarray
+    isometry: np.ndarray  # V, read-only, total_dim x 2*n_levels: every |Psi_N^->, then every |Psi_N^+>
     energies_minus: np.ndarray
     energies_plus: np.ndarray
     omega_minus: float
@@ -87,12 +85,14 @@ class DressedBasis:
     def reduced_dim(self) -> int:
         return 2 * self.n_levels
 
-    @functools.cached_property
-    def isometry(self) -> np.ndarray:
-        """total_dim x 2*n_levels matrix of basis columns, minus block first; built once."""
-        v = np.hstack([self.states_minus, self.states_plus])
-        v.flags.writeable = False  # every caller shares this array
-        return v
+    @property
+    def states_minus(self) -> np.ndarray:
+        """The minus-ladder columns of V, a read-only view; ``states_plus`` likewise."""
+        return self.isometry[:, self.sector_block("-")]
+
+    @property
+    def states_plus(self) -> np.ndarray:
+        return self.isometry[:, self.sector_block("+")]
 
     def sector_block(self, sector: str) -> slice:
         """Reduced indices of one ladder, minus first: ``"-"`` is 0..L-1, ``"+"`` is L..2L-1.
@@ -130,12 +130,6 @@ class DressedBasis:
         em, ep = self.params.ladder_energies(self.n_levels)
         return np.diag(np.concatenate([em, ep])).astype(complex)
 
-    # -- representation changes ---------------------------------------------
-
-    def reduce(self, op_full: np.ndarray) -> np.ndarray:
-        v = self.isometry
-        return v.conj().T @ op_full @ v
-
 
 def build_basis(
     p: RabiParams,
@@ -145,13 +139,15 @@ def build_basis(
 ) -> DressedBasis:
     """Construct the retained dressed basis and its energies.
 
-    ``energy_mode`` selects the energy formula:
+    ``energy_mode`` sets only ``energies_minus`` and ``energies_plus``, which no
+    generator reads (they take ``RabiParams.ladder_energies`` or their own
+    rotating-frame diagonal):
 
     - ``"exact_overlap"``: E_N^+- = omega (N - beta^2) +- (omega0/2) <N_-|N_+>,
       keeping the exact Laguerre overlap and the constant -omega beta^2.
     - ``"truncated"``: E_N^+- = N omega_+- +- (omega0/2)(1 - 2 beta^2) with
-      omega_+- = omega -+ 2 omega0 beta^2 and the constant dropped; this is
-      the harmonic-ladder form the master-equation generators use.
+      omega_+- = omega -+ 2 omega0 beta^2 and the constant dropped, the
+      harmonic-ladder form of ``RabiParams.ladder_energies``.
 
     Raises ``ValueError`` for an unknown ``energy_mode`` and for ``n_levels``
     below 1, at or above ``dims.n_cut``, or above the hard cap 1/(8 beta^2) of
@@ -175,18 +171,11 @@ def build_basis(
             f"n_levels <= {cap} at beta={p.beta} (N must stay far below 1/(2 beta)^2)"
         )
 
-    d_minus = osc_displacement(-p.beta, dims.n_cut)  # displaces |N> -> |N_+>
-    d_plus = osc_displacement(+p.beta, dims.n_cut)  # displaces |N> -> |N_->
-    ket_p = sigma_x_eigenket(+1)
-    ket_m = sigma_x_eigenket(-1)
-
-    states_minus = np.empty((dims.total_dim, n_levels), dtype=complex)
-    states_plus = np.empty((dims.total_dim, n_levels), dtype=complex)
-    for n in range(n_levels):
-        up = np.kron(ket_p, d_minus[:, n])  # |+, N_+>
-        dn = np.kron(ket_m, d_plus[:, n])  # |-, N_->
-        states_plus[:, n] = (up + dn) / np.sqrt(2.0)
-        states_minus[:, n] = (up - dn) / np.sqrt(2.0)
+    # columns |+, N_+> = |+> D(-beta)|N> and |-, N_-> = |-> D(beta)|N>, for N < n_levels
+    up = np.kron(sigma_x_eigenket(+1)[:, None], osc_displacement(-p.beta, dims.n_cut)[:, :n_levels])
+    dn = np.kron(sigma_x_eigenket(-1)[:, None], osc_displacement(+p.beta, dims.n_cut)[:, :n_levels])
+    isometry = np.hstack([up - dn, up + dn]) / np.sqrt(2.0)
+    isometry.flags.writeable = False  # every caller shares this array
 
     if energy_mode == "exact_overlap":
         ov = np.array([displaced_overlap(k, p.beta) for k in range(n_levels)])
@@ -200,8 +189,7 @@ def build_basis(
         params=p,
         dims=dims,
         n_levels=n_levels,
-        states_minus=states_minus,
-        states_plus=states_plus,
+        isometry=isometry,
         energies_minus=energies_minus,
         energies_plus=energies_plus,
         omega_minus=p.omega_minus,

@@ -78,7 +78,7 @@ def observables(rho: np.ndarray, b: DressedBasis) -> dict[str, float]:
     populations, the population of the dressed ground state |Psi_0^->
     (``ground``), and the weight outside the retained basis.
     """
-    rho_d = rho if rho.shape == (b.reduced_dim, b.reduced_dim) else b.reduce(rho)
+    rho_d = rho if rho.shape == (b.reduced_dim, b.reduced_dim) else b.isometry.conj().T @ rho @ b.isometry
     total = float(np.real(np.trace(rho)))
     pops = np.real(np.diag(rho_d))
     L = b.n_levels
@@ -289,10 +289,9 @@ def evolve(
 
 
 def _observe(me: MasterEquation, rho: np.ndarray) -> dict[str, float]:
-    rec: dict[str, float] = {"trace": float(np.real(np.trace(rho)))}
-    if me.basis is not None:
-        rec.update(observables(rho, me.basis))
-    return rec
+    if me.basis is None:
+        return {"trace": float(np.real(np.trace(rho)))}
+    return observables(rho, me.basis)
 
 
 # ---------------------------------------------------------------------------

@@ -185,13 +185,19 @@ class MasterEquation:
         return (self.liouvillian() @ rho.reshape(-1, order="F")).reshape((d, d), order="F")
 
 
+def _require_zero_temperature(rates: RateFunctions, builder: str) -> None:
+    if rates.temperature != 0:
+        raise ValueError(f"{builder} is zero-temperature, got T = {rates.temperature}; use finite_temperature_dme")
+
+
 def standard_master_equation(p: RabiParams, rates: RateFunctions, dims: SpaceDims) -> MasterEquation:
     """Quantum-optics master equation with bare jump operators a and sigma_-.
 
     The dissipators ignore the qubit-oscillator coupling; this generator is
     kept as the (incorrect at strong coupling) reference.  The oscillator
-    rate is evaluated at omega and the qubit rate at omega0.
+    rate is evaluated at omega and the qubit rate at omega0.  T > 0 raises.
     """
+    _require_zero_temperature(rates, "standard_master_equation")
     kappa = rates.oscillator_rate(p.omega)
     gamma = rates.qubit_rate(p.omega0)
     return MasterEquation(
@@ -226,8 +232,10 @@ def zero_temperature_dme(b: DressedBasis, rates: RateFunctions) -> MasterEquatio
 
     Damping acts within each dressed ladder through a_+- and transfers
     population from |Psi_N^+> to |Psi_N^-> at rate
-    gamma(omega_tilde_N) + 4 beta^2 Gamma(omega_tilde_N).
+    gamma(omega_tilde_N) + 4 beta^2 Gamma(omega_tilde_N).  T > 0 raises
+    ``ValueError``; ``finite_temperature_dme`` is the thermal form.
     """
+    _require_zero_temperature(rates, "zero_temperature_dme")
     return MasterEquation(
         hamiltonian=b.reduced_hamiltonian(),
         jumps=_dme_jumps(b, rates),
@@ -285,8 +293,9 @@ def driven_rotating_dme(
 
     The Hamiltonian also carries the dressed-pair splitting
     (omega0/2)(1-2 beta^2)(1_+ - 1_-): invisible to a state confined to one
-    ladder, it sets the resonance of drives that connect the ladders.
+    ladder, it sets the resonance of drives that connect the ladders.  T > 0 raises.
     """
+    _require_zero_temperature(rates, "driven_rotating_dme")
     jumps = _dme_jumps(b, rates)
     gp, gm = jumps[0].rate, jumps[1].rate
     if abs(gp - gm) > 1e-12 * max(gp, gm, 1e-300):

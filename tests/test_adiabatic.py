@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 
 from dressedrabi.adiabatic import build_basis, displaced_overlap, n_levels_cap, validity_report
-from dressedrabi.hilbert import SpaceDims, annihilation, displaced_fock, max_abs, qubit_op
+from dressedrabi.hilbert import (
+    SpaceDims,
+    annihilation,
+    displaced_fock,
+    max_abs,
+    osc_displacement,
+    qubit_op,
+    sigma_x_eigenket,
+)
 from dressedrabi.rabi import RabiParams, exact_spectrum, max_overlap_pairing
 
 from conftest import basis_ket, expand, fig3_rates
@@ -95,11 +103,32 @@ def test_pair_splitting_stays_above_half_omega0_up_to_the_cap(beta):
         assert np.min(b.energies_plus - b.energies_minus) >= 0.5 * p.omega0, mode
 
 
+def _per_rung_isometry(p, n_levels, dims):
+    """V built one rung at a time, minus ladder first: the reference for the vectorized build."""
+    d_minus = osc_displacement(-p.beta, dims.n_cut)  # displaces |N> -> |N_+>
+    d_plus = osc_displacement(+p.beta, dims.n_cut)  # displaces |N> -> |N_->
+    states_minus = np.empty((dims.total_dim, n_levels), dtype=complex)
+    states_plus = np.empty((dims.total_dim, n_levels), dtype=complex)
+    for n in range(n_levels):
+        up = np.kron(sigma_x_eigenket(+1), d_minus[:, n])  # |+, N_+>
+        dn = np.kron(sigma_x_eigenket(-1), d_plus[:, n])  # |-, N_->
+        states_plus[:, n] = (up + dn) / np.sqrt(2.0)
+        states_minus[:, n] = (up - dn) / np.sqrt(2.0)
+    return np.hstack([states_minus, states_plus])
+
+
 def test_isometry_is_built_once(dims40):
-    # every reduce reads it: one hstack per basis
+    # V is stored once and shared: the ladders are read-only views of it, not copies
     b = build_basis(RabiParams(1.0, 0.3, 0.1), 4, dims40)
-    assert b.isometry is b.isometry and not b.isometry.flags.writeable
-    assert np.array_equal(b.isometry, np.hstack([b.states_minus, b.states_plus]))
+    assert not b.isometry.flags.writeable
+    for half, sector in ((b.states_minus, "-"), (b.states_plus, "+")):
+        assert not half.flags.writeable and np.shares_memory(half, b.isometry)
+        assert np.array_equal(half, b.isometry[:, b.sector_block(sector)])
+    # the vectorized build is bit for bit the per-rung one, n_levels = n_cut - 1 included
+    for beta, n_cut, n_levels in ((0.1, 40, 4), (-0.1, 13, 12), (0.05, 40, 39), (0.0, 6, 5), (-0.35, 2, 1)):
+        p = RabiParams(1.0, 0.3, beta)
+        v = build_basis(p, n_levels, SpaceDims(n_cut)).isometry
+        assert np.array_equal(v, _per_rung_isometry(p, n_levels, SpaceDims(n_cut))), (beta, n_cut, n_levels)
 
 
 @pytest.mark.parametrize("beta", [0.05, 0.1])

@@ -496,9 +496,12 @@ def test_observables_and_expansion(dims40):
     stray[dims40.n_cut - 1] = 1.0
     obs_stray = observables(np.outer(stray, stray.conj()), b)
     assert abs(obs_stray["leakage"] - 1.0) < 1e-9
-    # at the smallest truncation a basis allows, n_cut = n_levels + 1, the two shapes still differ
-    tight = _basis(SpaceDims(13), n_levels=12)
-    assert observables(expand(tight, rho_c), tight) == pytest.approx(observables(rho_c, tight), abs=1e-12)
+    # read through V, a state expanded to the full space has its reduced observables; also at the
+    # smallest truncation a basis allows, n_cut = n_levels + 1, where the two shapes still differ
+    mixed = random_density(24, np.random.default_rng(7))
+    for basis in (b, _basis(SpaceDims(13), n_levels=12)):
+        for state in (rho_c, mixed):
+            assert observables(expand(basis, state), basis) == pytest.approx(observables(state, basis), abs=1e-12)
 
 
 def test_sector_flow_rate_equations(dims40):

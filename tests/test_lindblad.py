@@ -256,6 +256,15 @@ def test_validation_guards(dims40, basis):
     for temperature in (0.0, -0.1):
         with pytest.raises(ValueError, match="temperature"):
             gibbs_state(basis, temperature)
+    # the zero-temperature builders refuse a temperature instead of ignoring it
+    warm = RateFunctions.flat(0.1, 0.1, temperature=0.4)
+    for build in (
+        lambda: zero_temperature_dme(basis, warm),
+        lambda: driven_rotating_dme(basis, warm, 0.01, basis.omega_minus),
+        lambda: standard_master_equation(basis.params, warm, dims40),
+    ):
+        with pytest.raises(ValueError, match="finite_temperature_dme"):
+            build()
     # past freq/T = 700 the Bose occupation (< 1e-304) is 0, not an overflow of exp
     cold = RateFunctions.flat(0.1, 0.1, temperature=1e-3)
     assert cold.thermal_occupation(0.69) == pytest.approx(1.0 / math.expm1(690.0), rel=1e-12, abs=0.0)

@@ -93,16 +93,17 @@ def _generic(draw, density: float = 0.6):
 
 @st.composite
 def generators(draw):
-    """A dressed (zero or finite T), pumped, bare-operator or generic generator."""
+    """A dressed (zero or finite T), pumped, bare-operator or generic generator.
+
+    Only the dressed kind keeps its drawn temperature: the pumped and
+    bare-operator generators are zero-temperature builders and refuse T > 0.
+    """
     omega0, beta, n_levels = draw(params())
     big = draw(st.floats(0.01, 0.4))
-    rates = RateFunctions.flat(
-        big,
-        draw(st.floats(0.01, 0.1)),
-        gamma_f=draw(st.floats(0.0, 0.1)),
-        temperature=draw(st.just(0.0) | st.floats(0.05, 0.5)),
-    )
+    small, gamma_f = draw(st.floats(0.01, 0.1)), draw(st.floats(0.0, 0.1))
+    temperature = draw(st.just(0.0) | st.floats(0.05, 0.5))
     kind = draw(st.sampled_from(["dme", "driven", "sme", "generic"]))
+    rates = RateFunctions.flat(big, small, gamma_f=gamma_f, temperature=temperature if kind == "dme" else 0.0)
     if kind == "generic":
         return _generic(draw)
     if kind == "sme":
@@ -188,7 +189,8 @@ def test_dme_is_the_bare_operator_me_at_zero_coupling(omega0, n_levels, big, sma
     dme = zero_temperature_dme(b, rates)
     sme = standard_master_equation(b.params, rates, b.dims)
     rho = np.diag(np.random.default_rng(seed).dirichlet(np.ones(b.reduced_dim))).astype(complex)
-    assert max_abs(b.reduce(sme.rhs(expand(b, rho))) - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
+    v = b.isometry
+    assert max_abs(v.conj().T @ sme.rhs(expand(b, rho)) @ v - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
 
 
 @PROFILE
