@@ -88,9 +88,9 @@ def osc_displacement(alpha: complex, n_cut: int) -> np.ndarray:
 
     The exact matrix exponential of the anti-Hermitian truncated generator, so
     unitary to rounding.  Truncation error sits in the high-Fock columns D|n>,
-    n near n_cut, which the CLI's ``check_truncation`` re-run at n_cut + 10
-    measures; a warning is emitted when 4 |alpha|^2 >= n_cut, a displacement
-    too large for the truncation.
+    n near n_cut, which a second run at a larger n_cut measures; a warning is
+    emitted when 4 |alpha|^2 >= n_cut, a displacement too large for the
+    truncation.
     """
     a = osc_annihilation(n_cut)
     dop = expm(alpha * a.conj().T - np.conjugate(alpha) * a)

@@ -88,9 +88,11 @@ class RateFunctions:
         return self.qubit_rate(freq) + 4.0 * beta**2 * self.oscillator_rate(freq)
 
     def thermal_occupation(self, freq: float) -> float:
-        """Bose occupation 1/(exp(freq/T) - 1); zero at T = 0."""
+        """Bose occupation 1/(exp(freq/T) - 1); zero at T = 0.  At T > 0, freq <= 0 raises."""
         if self.temperature == 0.0:
             return 0.0
+        if not freq > 0:
+            raise ValueError(f"thermal occupation at T = {self.temperature} needs a frequency > 0, got {freq}")
         x = freq / self.temperature
         if x > 700.0:
             return 0.0

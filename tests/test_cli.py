@@ -185,10 +185,9 @@ TINY = {
 }
 
 
-@pytest.mark.parametrize("check_truncation", [False, True])
 @pytest.mark.parametrize("command", ["spectrum", "fidelity", "relax", "drive", "spectroscopy", "validate"])
-def test_validity_is_graded_once_per_run(tmp_path, monkeypatch, command, check_truncation):
-    # main grades the regime once, after the command and outside its truncation re-run
+def test_validity_is_graded_once_per_run(tmp_path, monkeypatch, command):
+    # main grades the regime once, after the command and never inside it
     reports, real = [], cli.validity_report
 
     def counted(*args):
@@ -196,7 +195,7 @@ def test_validity_is_graded_once_per_run(tmp_path, monkeypatch, command, check_t
         return reports[-1]
 
     monkeypatch.setattr(cli, "validity_report", counted)
-    cfg = write_config(tmp_path, {**TINY, "check_truncation": check_truncation})
+    cfg = write_config(tmp_path, TINY)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(reports) == 1
     meta = json.loads((tmp_path / "out" / f"{command}.meta.json").read_text())
@@ -215,14 +214,13 @@ def test_default_drive_warns_nothing_and_files_the_comfort_note(tmp_path):
     assert "n_levels=12 above the comfortable bound 5" in meta["validity"]["warnings"]
 
 
-def test_spectrum_energy_mode_is_exact_overlap_only(tmp_path, capsys):
-    # spectrum always reports exact-overlap energies; the key stays so that digests do not change
-    for mode in ("truncated", "approximate"):
+def test_spectrum_energy_mode_is_not_a_key(tmp_path, capsys):
+    # spectrum always reports exact-overlap energies, so no value of energy_mode is accepted
+    for mode in ("exact_overlap", "truncated", "approximate"):
         cfg = write_config(tmp_path, {**BASE, "spectrum": {"energy_mode": mode}})
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / mode)]) == 2
-        assert "spectrum.energy_mode" in capsys.readouterr().err
-    explicit = resolve_config({"spectrum": {"energy_mode": "exact_overlap"}}, {})
-    assert config_digest(explicit) == config_digest(resolve_config({}, {}))
+        assert "unknown config keys at spectrum: ['energy_mode']" in capsys.readouterr().err
+        assert not (tmp_path / mode).exists()
 
 
 def test_validate_command(tmp_path, capsys):
@@ -269,17 +267,6 @@ def test_spectrum_out_of_regime_proceeds_with_flag(tmp_path):
     assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == 0
     meta = json.loads((out / "spectrum.meta.json").read_text())
     assert meta["validity"]["quasi_degenerate"] is False
-
-
-def test_truncation_check(tmp_path):
-    cfg_path = write_config(
-        tmp_path,
-        {**BASE, "n_cut": 20, "check_truncation": True, "spectrum": {"keep": 6}},
-    )
-    out = tmp_path / "trunc"
-    assert main(["spectrum", "--config", cfg_path, "--out", str(out)]) == 0
-    meta = json.loads((out / "spectrum.meta.json").read_text())
-    assert meta["truncation_shift"] < 1e-8
 
 
 def test_spectrum_decoupled_rows_agree(tmp_path):

@@ -102,6 +102,27 @@ def test_every_dataclass_field_is_read():
     assert not unread, f"dataclass fields with no reader: {sorted(unread)}"
 
 
+def test_every_config_key_is_read():
+    # a config key that no command reads is dead weight too: each leaf of the schema
+    # must appear quoted in cli.py outside the _SCHEMA = {...} block that declares it
+    from dressedrabi import cli
+
+    lines = (ROOT / "src" / "dressedrabi" / "cli.py").read_text(encoding="utf-8").splitlines()
+    start = lines.index("_SCHEMA = {")
+    end = lines.index("}", start)
+    source = "\n".join(lines[:start] + lines[end + 1:])
+
+    def leaves(schema, path):
+        for key, entry in schema.items():
+            if isinstance(entry, dict):
+                yield from leaves(entry, f"{path}{key}.")
+            else:
+                yield f"{path}{key}", key
+
+    unread = [name for name, key in leaves(cli._SCHEMA, "") if f'"{key}"' not in source]
+    assert not unread, f"config keys with no reader: {unread}"
+
+
 def test_only_the_liouvillian_builds_superoperators():
     # MasterEquation.liouvillian is the one code that turns an operator into a
     # d^2 x d^2 matrix; a hand-built kron or diags superoperator must not come back
@@ -183,17 +204,19 @@ for error in (None, cli.ConfigError("probe"), cli.NumericsError("probe")):
             raise error
         return {"files": {}, "meta": {}}
     cli._COMMANDS["validate"] = command
-    code = cli.main(["validate", "--out", tempfile.mkdtemp()])
+    with tempfile.TemporaryDirectory() as out:
+        code = cli.main(["validate", "--out", out])
     record["runs"].append({"code": code, "during": seen[0], "after": counts()})
 print(json.dumps(record))
 """
 
 
-def test_cli_runs_blas_single_threaded_and_restores_the_counts():
+def test_cli_runs_blas_single_threaded_and_restores_the_counts(tmp_path):
     # the CLI's matrices are too small for a second BLAS thread; a process that
     # imports the package or calls main must get its own thread counts back
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "TMPDIR": str(tmp_path)}
     result = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True, check=True)
+    assert list(tmp_path.iterdir()) == []  # the probe's output directories are gone
     record = json.loads(result.stdout.strip().splitlines()[-1])
     if record is None:
         pytest.skip("numpy or scipy does not bundle its own OpenBLAS")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dressedrabi.adiabatic import build_basis, displaced_overlap
-from dressedrabi.hilbert import max_abs
+from dressedrabi.hilbert import SpaceDims, max_abs
 from dressedrabi.lindblad import (
     JumpTerm,
     MasterEquation,
@@ -269,6 +269,15 @@ def test_validation_guards(dims40, basis):
     cold = RateFunctions.flat(0.1, 0.1, temperature=1e-3)
     assert cold.thermal_occupation(0.69) == pytest.approx(1.0 / math.expm1(690.0), rel=1e-12, abs=0.0)
     assert cold.thermal_occupation(1.0) == 0.0
+    # at T > 0 a frequency <= 0 has no Bose occupation: a degenerate qubit's pair
+    # splittings are all 0, and 1/expm1(0) would be a bare ZeroDivisionError
+    for freq in (0.0, -0.1):
+        with pytest.raises(ValueError, match="frequency > 0"):
+            cold.thermal_occupation(freq)
+    assert RateFunctions.flat(0.1, 0.1).thermal_occupation(0.0) == 0.0
+    degenerate = build_basis(RabiParams(1.0, 0.0, 0.1), 4, SpaceDims(20), energy_mode="truncated")
+    with pytest.raises(ValueError, match="frequency > 0, got 0.0"):
+        finite_temperature_dme(degenerate, RateFunctions.flat(1e-3, 1e-4, temperature=0.1))
     with pytest.raises(ValueError):
         MasterEquation(
             hamiltonian=np.eye(2, dtype=complex),
