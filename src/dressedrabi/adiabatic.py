@@ -72,7 +72,6 @@ class DressedBasis:
     """Retained dressed ladders {|Psi_N^+->, E_N^+-}, stored as the isometry V, and their reduced algebra."""
 
     params: RabiParams
-    dims: SpaceDims
     n_levels: int
     isometry: np.ndarray  # V, read-only, total_dim x 2*n_levels: every |Psi_N^->, then every |Psi_N^+>
     energies_minus: np.ndarray
@@ -187,7 +186,6 @@ def build_basis(
 
     return DressedBasis(
         params=p,
-        dims=dims,
         n_levels=n_levels,
         isometry=isometry,
         energies_minus=energies_minus,

@@ -362,16 +362,17 @@ def cmd_drive(cfg: dict) -> dict:
         pump_amps = [gamma / 2.0]
     detuning = float(cfg["drive"]["detuning"])
     pump_freq = basis.omega_minus - detuning
+    # undamped, every |Psi_N^-> is stationary: no steady state is unique, pumped or not
+    if gamma == 0:
+        raise ConfigError(f"drive needs Gamma(omega_-={basis.omega_minus}) > 0 for a unique steady state")
     denominator = 1j * gamma / 2.0 - detuning  # the predicted coherent amplitude is Omega_p / denominator
-    if denominator == 0 and any(pump_amps):
-        raise ConfigError(f"a resonant pump needs Gamma(omega_-={basis.omega_minus}) > 0 for a steady state")
 
     rows = []
     for amp in pump_amps:
         me = driven_rotating_dme(basis, rates, float(amp), pump_freq)
         ss = steady_state_nullspace(me)
         obs = observables(ss.rho, basis)
-        alpha = amp / denominator if denominator else 0j  # only unpumped points get here: the vacuum
+        alpha = amp / denominator
         ket = coherent_dressed_ket(basis, alpha, "-")
         fid = float(np.real(ket.conj() @ ss.rho @ ket))
         rows.append([

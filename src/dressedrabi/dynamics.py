@@ -145,7 +145,7 @@ def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.
 
 # samples per grid call of exact propagation: bounds its states at _CHUNK x block x 16 B
 _CHUNK = 100
-# a sampled state may have eigenvalues down to -_EIG_FLOOR
+# a sampled or steady state may have eigenvalues down to -_EIG_FLOOR
 _EIG_FLOOR = 1e-7
 # a sampled state's trace may drift from the initial one by _TRACE_TOL
 _TRACE_TOL = 1e-8
@@ -313,75 +313,62 @@ def _warn_clipped(lowest: float) -> None:
         warnings.warn(f"steady state eigenvalue {lowest:.3g} clipped to zero", stacklevel=3)
 
 
-# the most unknowns a dense solve may hold, about 100 MB of dense arrays at 2500:
-# complex ones for the lstsq retry, real cross-sector ones for _shifted_solver's
-# Schur form (A overwritten by T, and Z)
+# the most real cross-sector unknowns _shifted_solver's dense Schur form may hold:
+# A, overwritten by T, and Z are about 100 MB at 2500
 _DENSE_MAX = 2500
 # a steady state's residual max|system v| may reach this share of the generator scale
 _RESIDUAL_TOL = 1e-10
 
 
 def _accept(v: np.ndarray, d: int, apply, scale: float, path: str):
-    """Hermitize and clip the vec(rho_0) that leads v, in place, and accept it if max|apply(v)| passes.
+    """Hermitize and clip the vec(rho_0) that leads v, in place, and accept it if it passes two checks.
 
-    Returns (``SteadyState`` or None, residual): the state, with
-    ``clipped_weight`` and ``solve`` (``path``), only for a residual at most
-    ``_RESIDUAL_TOL * scale``; only then is a clipped eigenvalue warned of.
+    Returns (``SteadyState`` or None, why): the state, with ``clipped_weight``
+    and ``solve`` (``path``), only if the lowest eigenvalue before the clip is
+    at least -``_EIG_FLOOR``, evolve's positivity floor, and the residual
+    max|apply(v)| is at most ``_RESIDUAL_TOL * scale``; only then is a
+    clipped eigenvalue warned of.  Otherwise ``why`` names the failed check.
     """
     rho, clipped, lowest = _clip_and_report(_unvec(v[: d * d], d))
+    if lowest < -_EIG_FLOOR:
+        return None, f"steady state eigenvalue {lowest:.3g} below -{_EIG_FLOOR:.0e}"
     v[: d * d] = rho.reshape(-1, order="F")
     residual = float(max_abs(apply(v)))
     # written so that a NaN residual fails the check
     if not residual <= _RESIDUAL_TOL * scale:
-        return None, residual
+        return None, f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale"
     _warn_clipped(lowest)
-    return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path}), residual
+    return SteadyState(rho, residual, {"clipped_weight": clipped, "solve": path}), None
 
 
 def _solve_liouvillian(system, d: int, scale: float):
     """Steady state of a sparse system whose first d^2 unknowns are vec(rho_0).
 
     The unit-trace row of rho_0, weighted by ``scale``, is folded into row 0
-    and SuperLU solves the result; a singular factor or a residual above
-    ``_RESIDUAL_TOL * scale`` retries with dense least squares on the system
-    with the trace row appended; a non-finite system or splu solution raises
-    ``NumericsError`` instead.  Each attempt is Hermitized, clipped and
-    checked by ``_accept``; a discarded attempt never warns.  Returns the
-    ``SteadyState`` of rho_0 whose residual is max|system v| with the
-    clipped, unit-trace rho_0 in v.  Its ``metadata`` records
-    ``clipped_weight`` and ``solve``, the path that ran: ``"splu"`` or
-    ``"lstsq"`` here, or ``"schur"`` for a point of ``_shifted_solver`` that
-    needed no retry.
+    and SuperLU solves the result.  The solution is Hermitized, clipped and
+    checked by ``_accept``.  A non-finite system or splu solution raises
+    ``NumericsError``, and so do an exactly singular factor and a solution
+    that ``_accept`` rejects: the generator has no unique steady state, and
+    no member of a steady family is returned.  Returns the ``SteadyState`` of
+    rho_0 whose residual is max|system v| with the clipped, unit-trace rho_0
+    in v.  Its ``metadata`` records ``clipped_weight`` and ``solve``:
+    ``"splu"`` here, or ``"schur"`` for a point of ``_shifted_solver``.
     """
     n = system.shape[0]
-    fold = _trace_fold(n, d, scale)
     if not np.isfinite(system.data).all():
         raise NumericsError("the steady-state system has non-finite entries")
     b = np.zeros(n, dtype=complex)
     b[0] = scale
-    ss, residual = None, math.inf
     try:
-        v = splu((system + fold).tocsc()).solve(b)
+        v = splu((system + _trace_fold(n, d, scale)).tocsc()).solve(b)
     except RuntimeError:
         # splu reports an exactly singular factor as a RuntimeError
-        pass
-    else:
-        if not np.isfinite(v).all():
-            raise NumericsError("splu returned a non-finite steady state")
-        ss, residual = _accept(v, d, system.dot, scale, "splu")
+        raise NumericsError("the steady-state system is singular: the generator has no unique steady state") from None
+    if not np.isfinite(v).all():
+        raise NumericsError("splu returned a non-finite steady state")
+    ss, why = _accept(v, d, system.dot, scale, "splu")
     if ss is None:
-        if n > _DENSE_MAX:
-            raise NumericsError(
-                f"splu failed (residual {residual:.3g}) and {n} unknowns exceed the dense retry's {_DENSE_MAX}"
-            )
-        rhs = np.append(np.zeros(n, dtype=complex), scale)
-        v, *_ = np.linalg.lstsq(np.vstack([system.toarray(), fold[0].toarray()]), rhs, rcond=None)
-        ss, residual = _accept(v, d, system.dot, scale, "lstsq")
-        if ss is None:
-            raise NumericsError(
-                f"steady-state residual {residual:.3g} exceeds {_RESIDUAL_TOL:.1g} * scale; "
-                "the generator may have a degenerate steady family"
-            )
+        raise NumericsError(f"{why}: the generator may have no unique steady state")
     return ss
 
 
@@ -447,9 +434,9 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     back-solve with M_SS (about 0.2 ms at m = 288, its acceptance included),
     and is accepted by ``_accept`` like a ``_solve_liouvillian`` attempt;
     one whose quasi-triangular solution is non-finite (a singular
-    T + omega), or whose residual max|(system + omega shift) v| exceeds
-    ``_RESIDUAL_TOL * scale``, is re-solved by ``_solve_liouvillian`` and
-    records that path.  Besides the m x len(grid) solutions, at most two
+    T + omega), or that ``_accept`` rejects, is re-solved by
+    ``_solve_liouvillian`` and records that path, or raises its
+    ``NumericsError``.  Besides the m x len(grid) solutions, at most two
     dense m x m arrays are held: A, overwritten by T, and Z, and the points
     keep only Z.
 
@@ -529,8 +516,8 @@ def steady_state_nullspace(me: MasterEquation) -> SteadyState:
     Solves L vec(rho) = 0 with the unit-trace condition folded in as a linear
     constraint (``_solve_liouvillian``), Hermitizes, and clips any negative
     eigenvalues at readout: the returned state warns of a clipped one, a
-    discarded attempt never does.  ``metadata["solve"]`` names the solve
-    that ran, ``"splu"`` or the dense ``"lstsq"`` retry.
+    rejected solution never does.  A generator with no unique steady state
+    raises ``NumericsError``.  ``metadata["solve"]`` is ``"splu"``.
     """
     return _solve_liouvillian(me.liouvillian(), me.dim, generator_scale(me))
 

@@ -118,6 +118,9 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("spectroscopy", {"spectroscopy": {"pump_amps": [0.0], "grid_points": 3}}, []),
         # n_levels must stay below n_cut, or the full-space states of relax read as reduced ones
         ("relax", {"rates": {"Gamma": 0.1, "gamma": 0.1}, "n_cut": 12, "n_levels": 12}, []),
+        # Gamma(omega_-) = 0 leaves every |Psi_N^-> stationary: unpumped or detuned, no steady state is unique
+        ("drive", {"rates": {"Gamma": 0.0, "gamma": 0.001}, "drive": {"pump_amps": [0.0]}}, []),
+        ("drive", {"rates": {"Gamma": 0.0, "gamma": 0.001}, "drive": {"detuning": 0.01, "pump_amps": [0.001]}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
@@ -452,19 +455,13 @@ def test_spectroscopy_labels_follow_the_pump_rate(tmp_path):
     assert (out / "spectroscopy_scan_n1.csv").exists()
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys):
-    # without dissipation the driven steady state is not unique: splu finds the
-    # system singular, and its 52^2 = 2704 unknowns exceed the dense retry's cap
-    cfg_path = write_config(
-        tmp_path,
-        {
-            **BASE,
-            "params": {"omega": 1.0, "omega0": 0.3, "beta": 0.04},
-            "rates": {"Gamma": 0.0, "gamma": 0.0, "gamma_f": 0.0},
-            "n_cut": 40,
-            "n_levels": 26,
-        },
-    )
+def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a steady-state solve that fails, as for a generator with no unique steady state
+    def fail(me):
+        raise NumericsError("the steady-state system is singular")
+
+    monkeypatch.setattr(cli, "steady_state_nullspace", fail)
+    cfg_path = write_config(tmp_path, {**BASE, "n_cut": 12, "n_levels": 3})
     code = main(["drive", "--config", cfg_path, "--out", str(tmp_path / "boom")])
     assert code == 3
     assert "numeric failure" in capsys.readouterr().err

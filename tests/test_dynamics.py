@@ -334,24 +334,27 @@ def test_nullspace_thermal(dims40):
 
 
 def test_nullspace_singular_factor_falls_back():
-    # without dissipation the folded system is exactly singular: splu refuses it
-    # and the dense least-squares retry returns one member of the steady family
-    me = MasterEquation(hamiltonian=np.diag(np.arange(4.0)).astype(complex))
-    ss = steady_state_nullspace(me)
-    assert abs(np.trace(ss.rho) - 1.0) < 1e-12
-    assert ss.residual <= 1e-10 * 3.0
-    assert ss.metadata["solve"] == "lstsq"
-    # above 2500 unknowns (d = 51 here) the dense retry is refused, not allocated
-    big = MasterEquation(hamiltonian=np.diag(np.arange(51.0)).astype(complex))
-    with pytest.raises(NumericsError, match="dense retry"):
-        steady_state_nullspace(big)
+    # without dissipation every population is stationary and the folded system
+    # is exactly singular: splu refuses it, and so does the solve, at any size
+    for d in (4, 51):
+        me = MasterEquation(hamiltonian=np.diag(np.arange(float(d))).astype(complex))
+        with pytest.raises(NumericsError, match="singular: the generator has no unique steady state"):
+            steady_state_nullspace(me)
+
+
+def test_an_undamped_lower_ladder_fails_the_eigenvalue_floor(dims40):
+    # Gamma(omega_-) = 0 with a detuned pump: splu factors the system, but its
+    # solution has an eigenvalue far below -1e-7, so no state is returned
+    b = _basis(dims40, n_levels=12)
+    me = driven_rotating_dme(b, RateFunctions(0.0, 0.001), 0.001, b.omega_minus - 0.01)
+    with pytest.raises(NumericsError, match="steady state eigenvalue"):
+        steady_state_nullspace(me)
 
 
 def test_a_discarded_splu_attempt_does_not_warn(dims40, monkeypatch):
-    # a stand-in splu whose solve is off by -0.5 I on rho_0: the clip of that
-    # attempt meets an eigenvalue near -0.5 and leaves a projector, which misses
-    # the residual bound, so the attempt is discarded; only the returned lstsq
-    # state may warn, and it has nothing to clip
+    # a stand-in splu whose solve is off by -0.5 I on rho_0: that attempt has an
+    # eigenvalue near -0.5, below the positivity floor, so it is rejected with
+    # a NumericsError and no "clipped" warning
     b = _basis(dims40)
     me = finite_temperature_dme(b, RateFunctions.flat(0.3, 0.04, temperature=0.4))
     off = 0.5 * np.eye(me.dim).reshape(-1, order="F")
@@ -369,9 +372,8 @@ def test_a_discarded_splu_attempt_does_not_warn(dims40, monkeypatch):
     monkeypatch.setattr(dynamics, "splu", OffSplu)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        ss = steady_state_nullspace(me)
-    assert ss.metadata["solve"] == "lstsq"
-    assert trace_distance(ss.rho, gibbs_state(b, 0.4)) < 1e-8
+        with pytest.raises(NumericsError, match="eigenvalue"):
+            steady_state_nullspace(me)
     assert not [w for w in caught if "clipped" in str(w.message)]
 
 
@@ -717,13 +719,13 @@ def test_singular_shift_gives_one_non_finite_column_and_no_warning():
 
 def test_singular_same_sector_block_drops_the_pump_to_per_point_solves():
     # without dissipation the populations do not move: M_SS is singular, and
-    # every point takes the per-point path, whose dense retry solves it
+    # every point takes the per-point path, which refuses the singular system
     me = MasterEquation(hamiltonian=np.diag([0.0, 1.0, 0.2, 1.5]).astype(complex))
     shift = MasterEquation(np.diag([0.5, 0.5, -0.5, -0.5])).liouvillian()
     solve, path = _shifted_solver(me.liouvillian(), shift, me.dim, 1.5, [0.3])
     assert path == "splu"
-    ss = solve(0.3)
-    assert ss.metadata["solve"] == "lstsq" and abs(np.trace(ss.rho) - 1.0) < 1e-12
+    with pytest.raises(NumericsError, match="singular"):
+        solve(0.3)
 
 
 def test_cross_sector_past_the_dense_limit_keeps_per_point_solves():

@@ -187,7 +187,7 @@ def test_dme_is_the_bare_operator_me_at_zero_coupling(omega0, n_levels, big, sma
     b = _basis(omega0, 0.0, n_levels)
     rates = RateFunctions.flat(big, small)
     dme = zero_temperature_dme(b, rates)
-    sme = standard_master_equation(b.params, rates, b.dims)
+    sme = standard_master_equation(b.params, rates, SpaceDims(n_levels + 8))
     rho = np.diag(np.random.default_rng(seed).dirichlet(np.ones(b.reduced_dim))).astype(complex)
     v = b.isometry
     assert max_abs(v.conj().T @ sme.rhs(expand(b, rho)) @ v - dme.rhs(rho)) <= 1e-12 * generator_scale(dme)
