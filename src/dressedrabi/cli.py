@@ -93,8 +93,6 @@ def _list_of(kind: _Kind) -> _Kind:
 _NUMBER = _Kind(_is_finite, "a finite number")
 _POSITIVE = _Kind(lambda v: _is_finite(v) and v > 0, "a finite number > 0")
 _NONNEGATIVE = _Kind(lambda v: _is_finite(v) and v >= 0, "a finite number >= 0")
-_RATE_PAIR = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and _is_finite(v[0]) and _NONNEGATIVE.check(v[1]),
-                   "a [frequency, rate >= 0] pair")
 _SPAN = _Kind(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite, v)),
               "a list of two finite numbers")
 _GRID_POINT = _Kind(lambda v: isinstance(v, dict) and set(v) == {"omega0", "beta"}
@@ -107,8 +105,6 @@ _SCHEMA = {
         "Gamma": (0.00108, _NONNEGATIVE),
         "gamma": (0.000108, _NONNEGATIVE),
         "gamma_f": (0.0, _NONNEGATIVE),
-        "Gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
-        "gamma_table": (None, _optional(_list_of(_RATE_PAIR))),
     },
     "n_cut": (40, _integer(2)),
     "n_levels": (12, _integer(1)),
@@ -126,7 +122,6 @@ _SCHEMA = {
     },
     "drive": {"pump_amps": (None, _optional(_list_of(_NUMBER))), "detuning": (0.0, _NUMBER)},
     "spectroscopy": {
-        "pump_amps": (None, _optional(_list_of(_NUMBER))),
         "baselines": ([0.5, 1.0, 2.0, 4.0], _list_of(_POSITIVE)),
         "spec_amp": (None, _optional(_NUMBER)),
         "grid_points": (241, _integer(1)),
@@ -187,18 +182,7 @@ def config_digest(cfg: dict) -> str:
 
 def _build_rates(cfg: dict) -> RateFunctions:
     rc = cfg["rates"]
-
-    def table_fn(table):
-        freqs, vals = np.asarray(sorted(table), dtype=float).T
-        return lambda w: float(np.interp(w, freqs, vals))
-
-    big_gamma = table_fn(rc["Gamma_table"]) if rc["Gamma_table"] else float(rc["Gamma"])
-    small_gamma = table_fn(rc["gamma_table"]) if rc["gamma_table"] else float(rc["gamma"])
-    return RateFunctions(
-        Gamma=big_gamma,
-        gamma=small_gamma,
-        gamma_f=float(rc["gamma_f"]),
-    )
+    return RateFunctions(Gamma=float(rc["Gamma"]), gamma=float(rc["gamma"]), gamma_f=float(rc["gamma_f"]))
 
 
 def _params(cfg: dict) -> RabiParams:
@@ -305,7 +289,7 @@ def cmd_relax(cfg: dict) -> dict:
     block = cfg["relax"]
     rate_scale = max(rates.oscillator_rate(p.omega), rates.qubit_rate(p.omega0))
     if rate_scale == 0:
-        # checked here, not in the schema, because a rate table may vanish at these frequencies
+        # checked here because the schema checks each key alone, and either rate may be 0
         raise ConfigError(f"relax needs Gamma({p.omega}) or gamma({p.omega0}) > 0: its horizon is in 1/rate")
     t_end = block["t_end_over_rate"] / rate_scale
 
@@ -313,9 +297,7 @@ def cmd_relax(cfg: dict) -> dict:
     for beta in block["beta_grid"]:
         pb = RabiParams(p.omega, p.omega0, float(beta))
         bb = build_basis(pb, 1, dims)
-        g0 = np.zeros(dims.total_dim, dtype=complex)
-        g0[dims.n_cut] = 1.0  # |g> (x) |0>
-        d = 1.0 - abs(np.vdot(bb.state(0, "-"), g0))
+        d = 1.0 - abs(bb.state(0, "-")[dims.n_cut])  # entry n_cut is |g> (x) |0>
         dist_rows.append([beta, d, 1.0 - np.exp(-beta**2 / 2.0), beta**2 / 2.0])
 
     basis = build_basis(p, cfg["n_levels"], dims)
@@ -411,11 +393,9 @@ def cmd_spectroscopy(cfg: dict) -> dict:
     if spec_amp is None:
         # default probe strength: the cross-ladder transfer rate kappa(omega_tilde_0)
         spec_amp = rates.cross_rate(p.beta, float(p.omega_tilde(1)[0]))
-    pump_amps = sc["pump_amps"]
-    if pump_amps is None:
-        # the rate pump_family labels with: Gamma at the pump, locked to omega_-
-        gamma = rates.oscillator_rate(p.omega_minus)
-        pump_amps = [gamma / 2.0 * float(np.sqrt(b)) for b in sc["baselines"]]
+    # the rate pump_family labels with: Gamma at the pump, locked to omega_-
+    gamma = rates.oscillator_rate(p.omega_minus)
+    pump_amps = [gamma / 2.0 * float(np.sqrt(b)) for b in sc["baselines"]]
 
     grid = default_scan_grid(p, sc["grid_points"], tuple(sc["span"]))
     scan_cfg = SpectroscopyConfig(
@@ -434,8 +414,8 @@ def cmd_spectroscopy(cfg: dict) -> dict:
         warnings.warn(f"spectroscopy keys {ignored} are ignored: no solver has a burn-in, window or step")
     names = [f"spectroscopy_scan_n{pump_label(scan_cfg, amp):g}.csv" for amp in pump_amps]
     if len(set(names)) < len(names):
-        raise ConfigError(f"pump amplitudes {pump_amps} would share scan tables {names}: "
-                          "give each pump a distinct label 4 Omega_p^2/Gamma^2 (to 6 significant digits)")
+        raise ConfigError(f"spectroscopy.baselines {sc['baselines']} would share scan tables {names}: "
+                          "give each pump a distinct baseline (to 6 significant digits)")
     results = pump_family(scan_cfg, pump_amps)
 
     files = {}

@@ -28,7 +28,6 @@ __all__ = [
     "RabiParams",
     "Spectrum",
     "rabi_hamiltonian",
-    "parity_operator",
     "diagonalize",
     "exact_spectrum",
     "ground_state",
@@ -115,17 +114,11 @@ def rabi_hamiltonian(p: RabiParams, dims: SpaceDims) -> np.ndarray:
     return 0.5 * p.omega0 * sz + p.omega * (a.conj().T @ a) + p.beta * p.omega * (a + a.conj().T) @ sx
 
 
-def parity_operator(dims: SpaceDims) -> np.ndarray:
-    """Conserved parity sigma_z * exp(i pi a^dag a); commutes with the Rabi Hamiltonian."""
-    signs = (-1.0) ** np.arange(dims.n_cut)
-    return np.kron(np.diag([1.0, -1.0]), np.diag(signs)).astype(complex)
-
-
 def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
     """Dense diagonalization of a parity-conserving joint-space Hamiltonian, lowest ``keep`` eigenpairs ascending.
 
-    The matrix is diagonalized one sector of ``parity_operator`` at a time,
-    so each state is exactly zero outside its sector, degenerate pairs
+    The matrix is diagonalized one sector of the parity sigma_z exp(i pi a^dag a)
+    at a time, so each state is exactly zero outside its sector, degenerate pairs
     (omega0 = 0) included.  ``ValueError`` refuses a Hermiticity defect
     above 1e-12 of the largest entry (or of 1), a size that is no joint
     space (odd, or below 4), and entries between the two sectors at or above
@@ -139,7 +132,7 @@ def diagonalize(h: np.ndarray, keep: int | None = None) -> Spectrum:
     n = h.shape[0]
     if n % 2 or n < 4:
         raise ValueError(f"a {n} x {n} matrix is no joint space of the qubit and >= 2 Fock states")
-    even = np.diag(parity_operator(SpaceDims(n // 2))).real > 0
+    even = np.kron([1.0, -1.0], (-1.0) ** np.arange(n // 2)) > 0  # the parity's diagonal
     coupling = max_abs(h[np.ix_(even, ~even)])
     if coupling >= 1e-9 * scale:
         raise ValueError(f"matrix couples the two parity sectors: largest entry {coupling:.3g}")

@@ -156,26 +156,24 @@ def fidelity_comparison(
     keep_sw = min(4 * n_levels, dims.total_dim)
     sw_energies_abs, sw_states = sw_eigensystem(p, dims, keep_sw)
 
-    rows_ad, cols_ad, f_ad = max_overlap_pairing(ad_states, spec.states)
-    rows_sw, cols_sw, f_sw = max_overlap_pairing(sw_states, spec.states)
-    ad_by_exact = {r: (c, f) for r, c, f in zip(rows_ad, cols_ad, f_ad)}
-    sw_by_exact = {r: (c, f) for r, c, f in zip(rows_sw, cols_sw, f_sw)}
+    # both families hold at least n_states candidates, so exact state k is row k of each pairing
+    _, cols_ad, f_ad = max_overlap_pairing(ad_states, spec.states)
+    _, cols_sw, f_sw = max_overlap_pairing(sw_states, spec.states)
 
     ov_ad = np.abs(spec.states.conj().T @ ad_states) ** 2
     ov_sw = np.abs(spec.states.conj().T @ sw_states) ** 2
 
     rows = []
     for k in range(n_states):
-        c_ad, fa = ad_by_exact[k]
-        c_sw, fs = sw_by_exact[k]
+        c_ad, c_sw = cols_ad[k], cols_sw[k]
         ambiguous = int(np.argmax(ov_ad[k])) != c_ad or int(np.argmax(ov_sw[k])) != c_sw
         n_label, sector = ad_labels[c_ad]
         rows.append(
             FidelityRow(
                 index=k,
                 energy_exact=float(spec.energies[k]),
-                f_adiabatic=float(fa),
-                f_sw=float(fs),
+                f_adiabatic=float(f_ad[k]),
+                f_sw=float(f_sw[k]),
                 n_label=n_label,
                 sector_label=sector,
                 energy_adiabatic=float(ad_energies[c_ad]),

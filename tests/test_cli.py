@@ -9,6 +9,7 @@ import pytest
 from dressedrabi import cli
 from dressedrabi.cli import ConfigError, config_digest, load_config, main, resolve_config
 from dressedrabi.dynamics import NumericsError
+from dressedrabi.lindblad import RateFunctions
 
 
 def write_config(tmp_path: Path, payload: dict) -> str:
@@ -43,6 +44,11 @@ def test_config_errors_name_the_table():
         resolve_config([], {})
     with pytest.raises(ConfigError, match=r"^relax\.dt must be a finite number > 0, got -1$"):
         resolve_config({"relax": {"dt": -1}}, {})
+    for table, key, value in (("rates", "Gamma_table", [[0.9, 0.001], [1.1, 0.002]]),
+                              ("rates", "gamma_table", [[0.2, 0.0001], [0.4, 0.0002]]),
+                              ("spectroscopy", "pump_amps", [0.001])):
+        with pytest.raises(ConfigError, match=rf"^unknown config keys at {table}: \['{key}'\]$"):
+            resolve_config({table: {key: value}}, {})
 
 
 def test_load_config_errors(tmp_path):
@@ -79,7 +85,7 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("validate", {"n_cut": 2.5}, []),
         ("validate", {"n_levels": "8"}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": []}}, []),
-        ("spectroscopy", {"spectroscopy": {"pump_amps": []}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [1.0, float("nan")]}}, []),
         ("spectroscopy", {"spectroscopy": {"grid_points": 0}}, []),
         ("drive", {"drive": {"pump_amps": []}}, []),
         ("fidelity", {"fidelity": {"n_states": 0}}, []),
@@ -101,7 +107,7 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("spectrum", {"params": {"beta": float("nan")}}, []),
         ("spectrum", {"rates": {"Gamma": float("nan")}}, []),
         ("spectrum", {"rates": {"Gamma": -1}}, []),
-        ("fidelity", {"rates": {"Gamma_table": [[0.9, 0.001], [1.1, float("nan")]]}}, []),
+        ("fidelity", {"rates": {"gamma_f": float("nan")}}, []),
         ("validate", {"spectroscopy": {"t_start": "x"}}, []),
         ("relax", {"rates": {"Gamma": 0.0, "gamma": 0.0}}, []),
         ("drive", {"rates": {"Gamma": 0.0}, "drive": {"pump_amps": [0.001]}}, []),
@@ -112,15 +118,20 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("fidelity", {"fidelity": {"n_states": 100}}, []),
         ("spectrum", {"spectrum": {"keep": 30}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.0], "grid_points": 3}}, []),
-        ("spectroscopy", {"spectroscopy": {"pump_amps": [0.001, -0.001], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [1.0, -1.0], "grid_points": 3}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.000001], "grid_points": 3}}, []),
-        ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"pump_amps": [0.001], "grid_points": 3}}, []),
-        ("spectroscopy", {"spectroscopy": {"pump_amps": [0.0], "grid_points": 3}}, []),
+        # Gamma(omega_-) = 0 gives every pump amplitude 0 and leaves pump_label no rate to divide by
+        ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"baselines": [1.0], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [0.0], "grid_points": 3}}, []),
         # n_levels must stay below n_cut, or the full-space states of relax read as reduced ones
         ("relax", {"rates": {"Gamma": 0.1, "gamma": 0.1}, "n_cut": 12, "n_levels": 12}, []),
         # Gamma(omega_-) = 0 leaves every |Psi_N^-> stationary: unpumped or detuned, no steady state is unique
         ("drive", {"rates": {"Gamma": 0.0, "gamma": 0.001}, "drive": {"pump_amps": [0.0]}}, []),
         ("drive", {"rates": {"Gamma": 0.0, "gamma": 0.001}, "drive": {"detuning": 0.01, "pump_amps": [0.001]}}, []),
+        # rate tables and spectroscopy pump amplitudes are no config keys: rates are constants, pumps baselines
+        ("validate", {"rates": {"Gamma_table": [[0.9, 0.001], [1.1, 0.002]]}}, []),
+        ("validate", {"rates": {"gamma_table": [[0.2, 0.0001], [0.4, 0.0002]]}}, []),
+        ("spectroscopy", {"spectroscopy": {"pump_amps": [0.001]}}, []),
     ],
 )
 def test_bad_input_is_a_config_error(tmp_path, capsys, command, payload, flags):
@@ -439,18 +450,15 @@ def test_spectroscopy_ignores_integrator_keys(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_spectroscopy_labels_follow_the_pump_rate(tmp_path):
-    # with a sloped Gamma table, Gamma(omega) != Gamma(omega_-); the requested
+def test_spectroscopy_labels_follow_the_pump_rate(tmp_path, monkeypatch):
+    # with a sloped Gamma, Gamma(omega) != Gamma(omega_-); the requested
     # baseline 1 still names its file, because amplitudes and labels share a rate
+    sloped = RateFunctions(Gamma=lambda w: float(np.interp(w, [0.9, 1.1], [0.0016, 0.0020])), gamma=0.000228)
+    monkeypatch.setattr(cli, "_build_rates", lambda cfg: sloped)
     cfg_path = write_config(
-        tmp_path,
-        {
-            **BASE,
-            "rates": {"Gamma_table": [[0.9, 0.0016], [1.1, 0.0020]], "gamma": 0.000228},
-            "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]},
-        },
+        tmp_path, {**BASE, "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]}},
     )
-    out = tmp_path / "table"
+    out = tmp_path / "sloped"
     assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
     assert (out / "spectroscopy_scan_n1.csv").exists()
 
@@ -471,7 +479,7 @@ def test_readme_example_config_resolves():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     cfg = resolve_config(example, {})
-    assert cfg["rates"] == {**example["rates"], "Gamma_table": None, "gamma_table": None}
+    assert cfg["rates"] == example["rates"]
     assert cfg["spectroscopy"]["solver"] == "corotating"
 
 
@@ -480,21 +488,23 @@ def test_digest_is_stable():
     assert config_digest(cfg) == config_digest(json.loads(json.dumps(cfg)))
 
 
-def test_default_probe_is_the_generator_cross_rate(tmp_path):
+def test_default_probe_is_the_generator_cross_rate(tmp_path, monkeypatch):
     # the default probe amplitude is kappa(omega_tilde_0) = gamma + 4 beta^2 Gamma,
     # both rates read at the lowest pair splitting omega_tilde_0 = omega0 (1 - 2 beta^2)
-    table = [[0.2, 0.0010], [1.1, 0.0020]]
+    freqs, values = [0.2, 1.1], [0.0010, 0.0020]
     omega_tilde_0 = 0.3 * (1.0 - 2.0 * 0.1**2)
-    sloped = 0.000228 + 4.0 * 0.1**2 * float(np.interp(omega_tilde_0, *zip(*table)))
-    flat = BASE["rates"]["gamma"] + 4.0 * 0.1**2 * BASE["rates"]["Gamma"]
-    for name, rates, expected in (("sloped", {"Gamma_table": table, "gamma": 0.000228}, sloped),
-                                  ("flat", BASE["rates"], flat)):
-        cfg_path = write_config(
-            tmp_path,
-            {**BASE, "rates": rates,
-             "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]}},
-        )
+    cfg_path = write_config(
+        tmp_path, {**BASE, "spectroscopy": {"baselines": [1.0], "grid_points": 3, "span": [0.5, 1.5]}},
+    )
+
+    def spec_amp(name):
         out = tmp_path / name
         assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
-        meta = json.loads((out / "spectroscopy.meta.json").read_text())
-        assert meta["scan_metadata"]["spec_amp"] == pytest.approx(expected, rel=1e-14)
+        return json.loads((out / "spectroscopy.meta.json").read_text())["scan_metadata"]["spec_amp"]
+
+    flat = BASE["rates"]["gamma"] + 4.0 * 0.1**2 * BASE["rates"]["Gamma"]
+    assert spec_amp("flat") == pytest.approx(flat, rel=1e-14)
+    monkeypatch.setattr(cli, "_build_rates", lambda cfg: RateFunctions(
+        Gamma=lambda w: float(np.interp(w, freqs, values)), gamma=0.000228))
+    sloped = 0.000228 + 4.0 * 0.1**2 * float(np.interp(omega_tilde_0, freqs, values))
+    assert spec_amp("sloped") == pytest.approx(sloped, rel=1e-14)

@@ -20,8 +20,17 @@ starts in a subprocess is not traced.  The script prints, as JSON, the arc
 counts of both sides and the arcs only the unit tests take, sorted.  An arc
 there is a path that no command, demo or acceptance check reaches: a
 deletion candidate unless it is a guard, a warning or a fallback kept on
-purpose.  Everything is written to a temporary directory.  It takes about
-25 s on a 2-core x86 machine and needs only the standard library besides the
+purpose.
+
+It also prints ``unset_keys``: the leaves of ``cli._SCHEMA`` that none of the
+traffic's config files sets (the seed-0 benchmark configs; the default
+commands set none).  The keys left there are the experiments' own parameters
+(a grid, a step, a count, the probe strength), kept on purpose: their
+defaults are the paper's experiments.  Any other key there is a second way to
+give an input, and a deletion candidate.
+
+Everything is written to a temporary directory.  It takes about 25 s on a
+2-core x86 machine and needs only the standard library besides the
 package's own dependencies and pytest.
 """
 
@@ -73,23 +82,46 @@ def _pytest(paths: list[Path]) -> None:
         raise SystemExit(f"pytest exited {code} on {[p.name for p in paths]}")
 
 
-def _traffic(work: Path) -> None:
-    from dressedrabi import cli
-
+def _bench_configs() -> list[tuple[str, str, dict]]:
+    """(name, command, config) of every seed-0 benchmark invocation, the co-rotating probe run included."""
     sys.path.insert(0, str(REPO / "bench"))
     import workloads
 
-    runs = [([command], f"default_{command}")
-            for command in ("spectrum", "fidelity", "drive", "spectroscopy", "validate")]
+    out = []
     for name in ("scan", "ladder", "relax", "probe_timeavg"):
         spec = workloads.make(name, 0)
         configs = list(spec.invocations)
         if name == "probe_timeavg":
             configs.append(workloads.corotating_config(spec))
-        for i, config in enumerate(configs):
-            path = work / f"seed0_{name}_{i}.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            runs.append(([spec.command, "--config", str(path)], f"seed0_{name}_{i}"))
+        out.extend((f"seed0_{name}_{i}", spec.command, config) for i, config in enumerate(configs))
+    return out
+
+
+def _unset_keys() -> list[str]:
+    """The ``cli._SCHEMA`` leaves that no benchmark config sets, as dotted paths."""
+    sys.path.insert(0, str(REPO / "src"))
+    from dressedrabi import cli
+
+    def leaves(schema: dict, given: list[dict], path: str):
+        for key, entry in schema.items():
+            name = f"{path}{key}"
+            if isinstance(entry, dict):
+                yield from leaves(entry, [g[key] for g in given if key in g], f"{name}.")
+            elif not any(key in g for g in given):
+                yield name
+
+    return sorted(leaves(cli._SCHEMA, [config for _, _, config in _bench_configs()], ""))
+
+
+def _traffic(work: Path) -> None:
+    from dressedrabi import cli
+
+    runs = [([command], f"default_{command}")
+            for command in ("spectrum", "fidelity", "drive", "spectroscopy", "validate")]
+    for name, command, config in _bench_configs():
+        path = work / f"{name}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        runs.append(([command, "--config", str(path)], name))
     for args, out in runs:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*args, "--out", str(work / out)])
@@ -138,6 +170,7 @@ def main() -> int:
     # one arc a line
     lines = ",\n  ".join(json.dumps(arc) for arc in only)
     print(f'{{"traffic_arcs": {len(arcs["traffic"])}, "unit_arcs": {len(arcs["units"])},\n'
+          f' "unset_keys": {json.dumps(_unset_keys())},\n'
           f' "unit_only": [\n  {lines}\n]}}')
     return 0
 
