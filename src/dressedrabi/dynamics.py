@@ -107,13 +107,18 @@ def _unvec(v: np.ndarray, d: int) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def _horizon_eps(t_end: float) -> float:
+    """Tolerance within which ``_step_grid`` takes a time as t_end."""
+    return 1e-12 * max(abs(t_end), 1.0)
+
+
 def _step_grid(t_end: float, dt: float, stride: int):
     """Steps of ``evolve``'s grid: (t, step, sample) for each step of dt from 0 to t_end.
 
     The last step is shortened to end at t_end; ``sample`` marks every
     ``stride``-th step and the last one.
     """
-    horizon_eps = 1e-12 * max(abs(t_end), 1.0)
+    horizon_eps = _horizon_eps(t_end)
     t, taken = 0.0, 0
     while t < t_end - horizon_eps:
         step = min(dt, t_end - t)
@@ -122,19 +127,30 @@ def _step_grid(t_end: float, dt: float, stride: int):
         t += step
 
 
+def _transpose_partner(k: np.ndarray, d: int) -> np.ndarray:
+    """The vec index j + i d of rho_ji for each vec index k = i + j d of rho_ij."""
+    return k // d + d * (k % d)
+
+
 def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.ndarray, float]:
     """Unknowns of vec(rho) reachable from the support of x, and the weight of x outside them.
 
-    A breadth-first search on the graph of L.T, one sparse product per level:
-    the set starts from the entries of x above 1e-13 max|x| and takes in every
-    i with L[i, j] != 0 for a j already in it.  So L maps a vector supported
-    on the returned (sorted) indices to one supported on them, and so does
-    exp(tL).  The weight is the sum of |x| over the sub-floor entries left
-    outside, a bound on their trace norm.
+    A breadth-first search on the graph of L.T plus the transpose pairing
+    rho_ij <-> rho_ji, one sparse product per level: the set starts from the
+    entries of x above 1e-13 max|x| and takes in every i with L[i, j] != 0
+    for a j already in it, and the partner of every entry it takes.  So L
+    maps a vector supported on the returned (sorted) indices to one supported
+    on them, and so does exp(tL), and ``_hermitian_embedding`` takes them.
+    The weight is the sum of |x| over the sub-floor entries left outside, a
+    bound on their trace norm.
     """
+    n = x.size
+    pairing = sparse.csc_matrix(
+        (np.ones(n, dtype=bool), (_transpose_partner(np.arange(n), math.isqrt(n)), np.arange(n))), shape=(n, n)
+    )
     pattern = sparse.csc_matrix(
         (liouvillian.data != 0, liouvillian.indices, liouvillian.indptr), shape=liouvillian.shape
-    )
+    ) + pairing
     frontier = np.abs(x) > 1e-13 * max_abs(x)
     reached = frontier.copy()
     while frontier.any():
@@ -143,7 +159,33 @@ def _reachable_block(liouvillian: sparse.csc_matrix, x: np.ndarray) -> tuple[np.
     return np.flatnonzero(reached), float(np.abs(x[~reached]).sum())
 
 
-# samples per grid call of exact propagation: bounds its states at _CHUNK x block x 16 B
+def _hermitian_embedding(indices: np.ndarray, d: int) -> tuple[sparse.csc_matrix, sparse.csr_matrix]:
+    """The embedding E of real coordinates into vec(rho) on ``indices``, and its left inverse E+.
+
+    ``indices`` is a sorted set of vec indices i + j d closed under
+    (i, j) -> (j, i).  A Hermitian rho supported there has m = indices.size
+    real coordinates w: rho_ii, then Re rho_ij, then Im rho_ij for i < j, in
+    the order of the indices.  The sparse d^2 x m matrix E maps w to vec(rho),
+    so E w is Hermitian for every real w; E+ = diag(1, 1/2, 1/2) E^dag gives
+    E+ E = I, and E+ L E is real for a Hermiticity-preserving L.
+    """
+    rows, cols = indices % d, indices // d
+    diagonal, upper = indices[rows == cols], indices[rows < cols]
+    lower = _transpose_partner(upper, d)
+    n_diag, h = diagonal.size, upper.size
+    k = np.arange(h) + n_diag
+    # w_k = Re rho_ij and w_{h+k} = Im rho_ij: rho_ij = w_k + i w_{h+k}, rho_ji = w_k - i w_{h+k}
+    entries = (
+        np.concatenate([diagonal, upper, lower, upper, lower]),
+        np.concatenate([np.arange(n_diag), k, k, k + h, k + h]),
+    )
+    values = np.concatenate([np.ones(n_diag, dtype=complex), np.repeat([1, 1, 1j, -1j], h)])
+    embed = sparse.csc_matrix((values, entries), shape=(d * d, n_diag + 2 * h))
+    weights = np.concatenate([np.ones(n_diag), np.full(2 * h, 0.5)])
+    return embed, embed.conj().T.multiply(weights[:, None]).tocsr()
+
+
+# samples per grid call of exact propagation: bounds its states at _CHUNK x block x 8 B
 _CHUNK = 100
 # a sampled or steady state may have eigenvalues down to -_EIG_FLOOR
 _EIG_FLOOR = 1e-7
@@ -164,22 +206,29 @@ def evolve(
     """Integrate d(rho)/dt = L[rho] from 0 to t_end, sampling every ``stride`` steps of ``dt``.
 
     ``rho0`` is in the generator's representation, ``me.dim`` x ``me.dim``:
-    any other shape, or a non-finite entry, raises ``ValueError``.  Samples
-    are taken at k dt stride and at t_end.  By default classical RK4 steps
-    dt.  With ``exact`` the generator is instead propagated exactly by
-    the time-stepping form of ``expm_multiply`` (A. H. Al-Mohy and N. J.
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)): one call per chunk of at
-    most ``_CHUNK`` evenly spaced samples, and one for the last, possibly
-    shorter interval.  It is restricted to the block of unknowns reachable
-    from rho0 (``_reachable_block``); ``dt`` and ``stride`` then only set the
-    sample spacing.  The sub-floor entries of rho0 outside the block are
-    dropped, with a warning when their weight (sum of moduli) exceeds 1e-10.
+    any other shape, a non-finite entry, or a Hermiticity defect
+    max|rho0 - rho0^dag| above 1e-10 max|rho0| raises ``ValueError``.
+    Samples are taken at k dt stride and at t_end.  By default classical
+    RK4 steps dt.  With ``exact`` the generator is instead propagated
+    exactly by the time-stepping form of ``expm_multiply`` (A. H. Al-Mohy
+    and N. J. Higham, SIAM J. Sci. Comput. 33, 488 (2011)): one call per
+    chunk of at most ``_CHUNK`` evenly spaced samples, the last interval
+    included unless it is shorter than dt stride, when it takes its own
+    call.  It is restricted to the block of unknowns reachable from rho0
+    (``_reachable_block``), and runs in the block's real coordinates
+    (``_hermitian_embedding``): a Hermiticity-preserving L maps a Hermitian
+    rho to a Hermitian one, so it is the real generator E+ L E on w = E+
+    vec(rho), and each sample is E w.  ``dt`` and ``stride`` then only set
+    the sample spacing.  The sub-floor entries of rho0 outside the block
+    are dropped, with a warning when their weight (sum of moduli) exceeds
+    1e-10.
     The trace is never renormalized; trace drift beyond 1e-8 or a
     sample with an eigenvalue below -1e-7 aborts with a diagnostic.  The
     eigenvalue floor is a Cholesky test of the Hermitian part plus 1e-7 I;
     the eigenvalues themselves are computed only for a sample that fails it
     and for the final sample.  ``metadata`` records ``method`` (``"rk4"`` or
-    ``"expm"``), ``block_dim`` (unknowns propagated), ``dropped_weight``,
+    ``"expm"``), ``block_dim`` (unknowns propagated: complex entries of
+    vec(rho) for RK4, real coordinates for ``exact``), ``dropped_weight``,
     ``max_trace_drift``, ``steps`` (RK4 steps, or exact sample intervals)
     and ``min_eigenvalue``: the smallest of 0 and the eigenvalues computed,
     those of the final sample and of every sample that failed the Cholesky
@@ -197,6 +246,9 @@ def evolve(
         raise ValueError("initial state has non-finite entries")
     if rho0.shape != (me.dim, me.dim):
         raise ValueError(f"state shape {rho0.shape} does not fit the generator's {me.dim} x {me.dim}")
+    # a density matrix is Hermitian, and the real coordinates of exact propagation carry no other
+    if hermiticity_defect(rho0) > 1e-10 * max_abs(rho0):
+        raise ValueError("initial state is not Hermitian within 1e-10")
     rho = rho0.astype(complex, copy=True)
     d = me.dim
     trace0 = float(np.real(np.trace(rho)))
@@ -232,34 +284,38 @@ def evolve(
 
     if exact:
         vec = rho.reshape(-1, order="F")
-        block, dropped = _reachable_block(me.liouvillian(), vec)
+        liouvillian = me.liouvillian()
+        block, dropped = _reachable_block(liouvillian, vec)
         if dropped > 1e-10:
             warnings.warn(
                 f"initial state has weight {dropped:.3g} outside the block reachable from its "
                 "support; that weight is dropped from the evolution",
                 stacklevel=2,
             )
-        gen = me.liouvillian()[block][:, block].tocsr()
+        embed, left_inverse = _hermitian_embedding(block, d)
+        gen = (left_inverse @ liouvillian @ embed).real.tocsr()
         gen_trace = gen.diagonal().sum()
-        x = vec[block]
-        full = np.zeros(d * d, dtype=complex)
+        w = (left_inverse @ vec).real
         times_at = [0.0] + [t + step for t, step, is_sample in _step_grid(t_end, dt, stride) if is_sample]
         steps = len(times_at) - 1
-        # every interval but the last spans stride steps of dt, so a chunk of them is an even grid
-        bounds = [*range(0, steps - 1, _CHUNK), steps - 1, steps] if steps else []
+        # every interval but the last spans stride steps of dt, so a chunk of them is an even grid;
+        # the last joins it unless _step_grid shortened it
+        even = steps
+        if steps > 1 and abs(times_at[-1] - times_at[-2] - stride * dt) > _horizon_eps(t_end):
+            even -= 1
+        bounds = [*range(0, even, _CHUNK), even] + [steps] * (even < steps)
         for first, last in zip(bounds, bounds[1:]):
             # the grid form's norm estimate draws from numpy's global generator: give the caller's back
             rng_state = np.random.get_state()
             chunk = expm_multiply(
-                gen, x, start=0.0, stop=times_at[last] - times_at[first], num=last - first + 1,
+                gen, w, start=0.0, stop=times_at[last] - times_at[first], num=last - first + 1,
                 endpoint=True, traceA=gen_trace,
             )
             np.random.set_state(rng_state)
-            for t_next, x in zip(times_at[first + 1 : last + 1], chunk[1:]):
-                full[block] = x
-                sample(t_next, _unvec(full, d))
-            # so that one chunk at a time is held: x, the next chunk's start, is a view into this one
-            x, chunk = x.copy(), None
+            for t_next, w in zip(times_at[first + 1 : last + 1], chunk[1:]):
+                sample(t_next, _unvec(embed @ w, d))
+            # so that one chunk at a time is held: w, the next chunk's start, is a view into this one
+            w, chunk = w.copy(), None
         method, block_dim = "expm", int(block.size)
     else:
         steps, dropped = 0, 0.0
@@ -421,7 +477,8 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
     among them) are eliminated once, by one splu of M_SS, the folded system
     restricted to S.  A Hermitian solution has rho_ji = conj(rho_ij), so the
     m real unknowns w = (Re rho_ij, Im rho_ij), i < j across the sectors,
-    carry it: the sparse embedding E maps w to (rho_ij, rho_ji) in v, and
+    carry it: the sparse embedding E of ``_hermitian_embedding`` (which
+    ``evolve`` also propagates in) maps w to (rho_ij, rho_ji) in v, and
     the system enters only as M_S E and M_U E, its rows in S and at the
     rho_ij.  Those rows' equations, divided by B, read (A + omega) w = z for
     a real m x m Schur complement A, reduced once to real Schur form Z T Z^T
@@ -450,18 +507,13 @@ def _shifted_solver(system, shift, d: int, scale: float, grid):
 
     n = system.shape[0]
     diag = shift.diagonal()
-    cross = np.flatnonzero(diag)
-    upper = cross[cross % d < cross // d]  # rho_ij with i < j: index i + j d
-    h = upper.size
-    m = 2 * h
+    cross = np.flatnonzero(diag)  # no rho_ii, and rho_ji with every rho_ij: B is -i(F_i - F_j) there
+    m = cross.size
     if not (0 < m <= _DENSE_MAX and np.isfinite(system.data).all()):
         return per_point, "splu"
     same = np.flatnonzero(diag == 0)
-    lower = upper // d + d * (upper % d)  # the transpose partners rho_ji
-    k = np.arange(h)
-    # w_k = Re rho_ij and w_{h+k} = Im rho_ij: rho_ij = w_k + i w_{h+k}, rho_ji = w_k - i w_{h+k}
-    entries = (np.concatenate([upper, lower, upper, lower]), np.concatenate([k, k, k + h, k + h]))
-    embed = sparse.csc_matrix((np.repeat([1, 1, 1j, -1j], h), entries), shape=(n, m))
+    upper = cross[cross % d < cross // d]  # rho_ij with i < j: index i + j d
+    embed, _ = _hermitian_embedding(cross, d)
     folded = (system + _trace_fold(n, d, scale)).tocsr()
     rows_s, rows_u = folded[same], folded[upper]
     m_se, m_ue = (rows_s @ embed).tocsc(), (rows_u @ embed).tocsc()

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import schur
 from scipy.linalg.lapack import dtrsyl
 from scipy.sparse.linalg import expm_multiply
@@ -14,6 +15,7 @@ from dressedrabi.dynamics import (
     _CHUNK,
     _DENSE_MAX,
     NumericsError,
+    _hermitian_embedding,
     _reachable_block,
     _shifted_qt_solve,
     _shifted_solver,
@@ -207,6 +209,58 @@ def test_exact_chunks_match_per_interval_propagation(dims40):
         assert max_abs(state - _unvec(x, me.dim)) < 1e-12
 
 
+def test_exact_folds_an_even_last_interval_into_the_grid(dims40, monkeypatch):
+    # one expm_multiply call per chunk of even intervals; a last interval of other length,
+    # shortened to end at t_end or fewer than stride steps, takes its own
+    _, me, rho0 = _exact_cases(dims40)[3]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["num"])
+        return expm_multiply(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "expm_multiply", counted)
+    cases = [
+        (1.0, 0.02, 10, [6]),
+        ((_CHUNK + 30) * 0.02, 0.01, 2, [_CHUNK + 1, 31]),
+        (1.03, 0.02, 10, [6, 2]),
+        (1.0, 0.02, 7, [8, 2]),
+        (0.02, 0.02, 10, [2]),
+        (0.0, 0.02, 10, []),
+    ]
+    for t_end, dt, stride, nums in cases:
+        calls.clear()
+        traj = evolve(me, rho0, t_end, dt, stride=stride, exact=True)
+        assert calls == nums, (t_end, stride)
+        assert len(traj.times) == sum(nums) - len(nums) + 1
+
+
+def test_hermitian_embedding_is_a_left_invertible_map_to_hermitian_states():
+    rng = np.random.default_rng(11)
+    d = 6
+    # a transpose-closed set: every diagonal entry, and some rho_ij with their rho_ji
+    upper = np.array([i + j * d for j in range(d) for i in range(j) if rng.random() < 0.5])
+    indices = np.sort(np.concatenate([np.arange(d) * (d + 1), upper, upper // d + d * (upper % d)]))
+    embed, left_inverse = _hermitian_embedding(indices, d)
+    assert embed.shape == (d * d, indices.size)
+    assert max_abs((left_inverse @ embed).toarray() - np.eye(indices.size)) == 0.0
+    w = rng.standard_normal(indices.size)
+    rho = _unvec(embed @ w, d)
+    assert max_abs(rho - rho.conj().T) == 0.0
+    assert np.array_equal(np.flatnonzero(rho.reshape(-1, order="F")), indices)
+    assert np.array_equal(left_inverse @ rho.reshape(-1, order="F"), w)
+
+
+def test_relax_generators_are_exactly_real_in_hermitian_coordinates(dims40):
+    # the bare-operator ME and the dephasing-free DME that relax propagates: Re(E+ L E) drops nothing
+    p, dims = fig3_params(), SpaceDims(10)
+    b = _basis(dims40)
+    for me in (standard_master_equation(p, RateFunctions.flat(0.3, 0.2), dims),
+               zero_temperature_dme(b, _moderate_rates()[0])):
+        embed, left_inverse = _hermitian_embedding(np.arange(me.dim**2), me.dim)
+        assert max_abs((left_inverse @ me.liouvillian() @ embed).imag.toarray()) == 0.0
+
+
 def test_exact_leaves_the_global_random_stream_alone(dims40):
     # a chunk spanning many intervals makes scipy estimate matrix-power norms with random vectors
     _, me, rho0 = _exact_cases(dims40)[0]
@@ -256,6 +310,10 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
     cases += [(rho0, 1.0, dt, 5, "dt") for dt in (math.nan, math.inf, -math.inf, 0.0, -0.02)]
     # a fractional stride would sample where taken % stride == 0: every 3rd step at 1.5
     cases += [(rho0, 1.0, 0.02, stride, "stride") for stride in (0, -1, 1.5, 2.5)]
+    # a state with an anti-Hermitian part above 1e-10 max|rho0|
+    skew = rho0.copy()
+    skew[0, 6] = 2e-10
+    cases += [(skew, 1.0, 0.02, 5, "not Hermitian")]
     for state, t_end, dt, stride, match in cases:
         with pytest.raises(ValueError, match=match):
             evolve(me, state, t_end, dt, stride=stride, exact=exact)
@@ -265,6 +323,9 @@ def test_non_finite_initial_state_is_refused(dims40, exact):
             steady_state_longtime(me, state, dt=0.02)
     # a numpy integer is a stride
     assert len(evolve(me, rho0, 0.2, 0.02, stride=np.int64(2), exact=exact).times) == 6
+    # a Hermiticity defect at the tolerance passes
+    skew[0, 6] = 1e-10
+    assert len(evolve(me, skew, 0.2, 0.02, stride=2, exact=exact).times) == 6
 
 
 def test_non_finite_system_is_refused_before_the_dense_retry():
@@ -579,6 +640,32 @@ def test_schur_solver_matches_per_point_at_the_paper_point():
         assert fast.residual <= 1e-10 * generator_scale(point)
         n_fast, n_slow = (observables(ss.rho, b)["n_total"] for ss in (fast, slow))
         assert abs(n_fast - n_slow) <= 1e-12 * n_slow
+
+
+def test_schur_embedding_is_the_cross_sector_pairing(monkeypatch):
+    # the shared embedding, on the cross-sector unknowns that have no rho_ii, against the
+    # (Re rho_ij, Im rho_ij) pairing the scan kernel once built by hand
+    _, point, shift = _paper_pump(n_levels=6)
+    built, embedding = [], dynamics._hermitian_embedding
+
+    def recorded(indices, d):
+        built.append(embedding(indices, d)[0])
+        return built[-1], None
+
+    monkeypatch.setattr(dynamics, "_hermitian_embedding", recorded)
+    _, path = _shifted_solver(point.liouvillian(), shift, point.dim, generator_scale(point), [0.3])
+    assert path == "schur" and len(built) == 1
+    d, n = point.dim, point.dim**2
+    cross = np.flatnonzero(shift.diagonal())
+    upper = cross[cross % d < cross // d]
+    h = upper.size
+    lower = upper // d + d * (upper % d)
+    k = np.arange(h)
+    entries = (np.concatenate([upper, lower, upper, lower]), np.concatenate([k, k, k + h, k + h]))
+    hand_built = sparse.csc_matrix((np.repeat([1, 1, 1j, -1j], h), entries), shape=(n, 2 * h))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(built[0], attr), getattr(hand_built, attr)), attr
+    assert built[0].shape == hand_built.shape
 
 
 def test_schur_point_over_the_residual_bound_is_re_solved(monkeypatch):

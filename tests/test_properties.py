@@ -26,13 +26,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 
 from dressedrabi import cli
 from dressedrabi.adiabatic import build_basis
 from dressedrabi.dynamics import (
+    _hermitian_embedding,
     _reachable_block,
     _shifted_solver,
     _solve_liouvillian,
+    _transpose_partner,
+    evolve,
     generator_scale,
     observables,
     steady_state_nullspace,
@@ -159,6 +163,37 @@ def test_reachable_block_is_invariant(data):
     # no entry of L maps the block to its complement
     outside = np.setdiff1d(np.arange(n), block)
     assert np.count_nonzero(liouvillian[outside][:, block].toarray()) == 0
+    # and it holds rho_ji with every rho_ij, as the real coordinates of exact propagation need
+    assert np.isin(_transpose_partner(block, me.dim), block).all()
+
+
+@PROFILE
+@given(generators(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_exact_evolution_in_real_coordinates_matches_the_complex_propagator(me, mixed, seed):
+    # evolve(exact=True) runs in the real coordinates of the reachable block: against
+    # expm_multiply on all d^2 complex unknowns, from a full-rank state or from a basis
+    # projector, whose block may be a proper subset
+    d = me.dim
+    rng = np.random.default_rng(seed)
+    if mixed:
+        rho0 = random_density(d, rng)
+    else:
+        k = rng.integers(d)
+        rho0 = np.zeros((d, d), dtype=complex)
+        rho0[k, k] = 1.0
+    traj = evolve(me, rho0, 1.0, 0.25, exact=True)
+    liouvillian = me.liouvillian()
+    x = rho0.reshape(-1, order="F")
+    for h, state in zip(np.diff(traj.times), traj.states[1:]):
+        x = expm_multiply(h * liouvillian, x)
+        assert max_abs(state.reshape(-1, order="F") - x) <= 1e-12
+    # Re(E+ L E) drops exactly nothing where L maps rho_ji to the conjugate of what it maps
+    # rho_ij to, and elsewhere at most two of L's conjugate-pair mismatches per entry
+    embed, left_inverse = _hermitian_embedding(np.arange(d * d), d)
+    partner = _transpose_partner(np.arange(d * d), d)
+    mismatch = max_abs((liouvillian[partner][:, partner] - liouvillian.conj()).toarray())
+    dropped = max_abs((left_inverse @ liouvillian @ embed).imag.toarray())
+    assert dropped <= 2 * mismatch
 
 
 @PROFILE
