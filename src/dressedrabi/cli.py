@@ -47,7 +47,7 @@ from .lindblad import (
 )
 from .rabi import RabiParams, ground_state
 from .schrieffer_wolff import fidelity_comparison
-from .spectroscopy import SpectroscopyConfig, default_scan_grid, pump_family, pump_label
+from .spectroscopy import SpectroscopyConfig, default_scan_grid, pump_family
 
 __all__ = ["main", "ConfigError", "load_config", "resolve_config"]
 
@@ -116,8 +116,7 @@ _SCHEMA = {
     },
     "relax": {
         "t_end_over_rate": (5.0, _POSITIVE),
-        "dt": (0.02, _POSITIVE),
-        "stride": (20, _integer(1)),
+        "sample_interval": (0.4, _POSITIVE),
         "beta_grid": ([0.02, 0.05, 0.1, 0.15, 0.2], _list_of(_NUMBER)),
     },
     "drive": {"pump_amps": (None, _optional(_list_of(_NUMBER))), "detuning": (0.0, _NUMBER)},
@@ -226,18 +225,14 @@ def _jsonable(obj):
     return obj
 
 
-def write_json(path: Path, obj):
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
-
-
 def write_sidecar(path: Path, cfg: dict, digest: str, extra: dict):
-    write_json(path, {"code_version": __version__, "config_digest": f"sha256:{digest}",
-                      "resolved_config": cfg, **extra})
+    sidecar = {"code_version": __version__, "config_digest": f"sha256:{digest}", "resolved_config": cfg, **extra}
+    path.write_text(json.dumps(_jsonable(sidecar), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns {"files": {name: content}, "meta": {...}} and writes nothing.
-# A .csv file's content is (columns, rows, notes), a .json file's a dict; main writes them.
+# subcommands: each returns {"files": {name: (columns, rows, notes)}, "meta": {...}} and writes
+# nothing; main writes each file as a CSV table.
 
 
 def cmd_spectrum(cfg: dict) -> dict:
@@ -308,13 +303,13 @@ def cmd_relax(cfg: dict) -> dict:
     # dressed ground state under the dressed generator: stays put
     rho_dme = np.zeros((basis.reduced_dim, basis.reduced_dim), dtype=complex)
     rho_dme[0, 0] = 1.0
-    traj_dme = evolve(dme, rho_dme, t_end, block["dt"], stride=block["stride"], exact=True, store_states=False)
+    traj_dme = evolve(dme, rho_dme, t_end, block["sample_interval"], exact=True, store_states=False)
     fid_dme = traj_dme.observables["ground"]
 
     # exact ground state under the bare-operator generator: leaks out
     _, gs = ground_state(p, dims)
     rho_sme = np.outer(gs, gs.conj())
-    traj_sme = evolve(sme, rho_sme, t_end, block["dt"], stride=block["stride"], exact=True, store_states=False)
+    traj_sme = evolve(sme, rho_sme, t_end, block["sample_interval"], exact=True, store_states=False)
     fid_sme = traj_sme.observables["ground"]
 
     # both trajectories sample the same evolve grid
@@ -412,33 +407,24 @@ def cmd_spectroscopy(cfg: dict) -> dict:
     ignored = [key for key in ("t_start", "window", "dt") if sc[key] is not None]
     if ignored:
         warnings.warn(f"spectroscopy keys {ignored} are ignored: no solver has a burn-in, window or step")
-    names = [f"spectroscopy_scan_n{pump_label(scan_cfg, amp):g}.csv" for amp in pump_amps]
-    if len(set(names)) < len(names):
-        raise ConfigError(f"spectroscopy.baselines {sc['baselines']} would share scan tables {names}: "
-                          "give each pump a distinct baseline (to 6 significant digits)")
+    if len(set(sc["baselines"])) < len(sc["baselines"]):
+        raise ConfigError(f"spectroscopy.baselines {sc['baselines']} repeats a pump: give each pump once")
     results = pump_family(scan_cfg, pump_amps)
 
-    files = {}
-    combined_rows = []
+    rows = []
     failures = []
-    for name, result in zip(names, results):
+    norm = 2.0 * p.omega0 * p.beta**2
+    for result in results:
         label = result.metadata["label_n_ss"]
-        rows = []
-        norm = 2.0 * p.omega0 * p.beta**2
         for i in range(len(result.omega_s)):
             u = (p.omega0 - result.omega_s[i]) / norm
-            rows.append([result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
-            combined_rows.append([label, result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
-        files[name] = (
-            ["omega_s", "normalized_detuning", "n_ss", "percent_reduction"], rows,
-            [f"pump_amp={result.metadata['pump_amp']!r} baseline_n_ss={result.baseline_n_ss!r}"],
-        )
+            rows.append([label, result.omega_s[i], u, result.n_ss[i], result.percent_reduction[i]])
         failures.extend(
             {"label": label, "index": i, "error": err} for i, err in result.failures
         )
-    files["spectroscopy_combined.csv"] = (
-        ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"], combined_rows, [],
-    )
+    files = {"spectroscopy_combined.csv": (
+        ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"], rows, [],
+    )}
     meta = {
         "failures": failures,
         "scan_metadata": {key: val for key, val in results[0].metadata.items()
@@ -452,7 +438,7 @@ def cmd_spectroscopy(cfg: dict) -> dict:
 
 
 def cmd_validate(cfg: dict) -> dict:
-    """Run no experiment: ``main`` prints the run's one validity report and files it as validate.json."""
+    """Run no experiment: ``main`` prints the run's one validity report, which the sidecar holds."""
     return {"files": {}, "meta": {}}
 
 
@@ -539,22 +525,18 @@ def main(argv=None) -> int:
             meta["validity"] = asdict(report)
             if args.command == "validate":
                 print(_describe_validity(report))
-                files["validate.json"] = {"report": meta["validity"], "resolved_config": cfg}
             digest = config_digest(cfg)
-            for name, content in files.items():
-                if name.endswith(".csv"):
-                    columns, rows, notes = content
-                    write_csv(out / name, columns, rows, digest, notes)
-                else:
-                    write_json(out / name, content)
+            for name, (columns, rows, notes) in files.items():
+                write_csv(out / name, columns, rows, digest, notes)
             wall = time.perf_counter() - started
+            sidecar = f"{args.command}.meta.json"
             write_sidecar(
-                out / f"{args.command}.meta.json",
+                out / sidecar,
                 cfg,
                 digest,
                 {"command": args.command, "wall_time_s": wall, **meta, "files": list(files)},
             )
-            print(f"{args.command}: wrote {', '.join(files)} (wall {wall:.2f}s)")
+            print(f"{args.command}: wrote {', '.join([*files, sidecar])} (wall {wall:.2f}s)")
             return 0
         except (NumericsError, np.linalg.LinAlgError, FloatingPointError) as exc:
             print(f"numeric failure: {exc}", file=sys.stderr)

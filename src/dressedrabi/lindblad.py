@@ -146,11 +146,13 @@ class MasterEquation:
 
             L = 1 kron K + conj(K) kron 1 + sum_k r_k conj(O_k) kron O_k,
 
-        assembled from the operators' nonzeros in one COO pass.  K takes its
+        assembled from the operators' nonzeros in one pass.  K takes its
         O_k^dag O_k from the same products of nonzeros as the O_k rho O_k^dag
         block, not from dense matrix products: a small product per jump calls
         the threaded BLAS, whose cost then swings with the load on the other
-        cores.  Built on first use and cached.
+        cores.  L is Hermiticity-preserving to the last bit: it maps rho_ji to
+        the exact conjugate of what it maps rho_ij to.  Built on first use and
+        cached.
         """
         if self._liouvillian is None:
             d = self.dim
@@ -162,6 +164,9 @@ class MasterEquation:
                 r, c = np.nonzero(term.op)
                 v = term.op[r, c]
                 pairs = term.rate * np.outer(v.conj(), v)
+                # Hermitian to the last bit, as the products are only to rounding: the terms of
+                # rho_ji are then the exact conjugates of those of rho_ij
+                pairs = np.triu(pairs, 1) + np.triu(pairs, 1).conj().T + np.diag(pairs.diagonal().real)
                 # O rho O^dag
                 rows.append((r + d * r[:, None]).ravel())
                 cols.append((c + d * c[:, None]).ravel())
@@ -171,14 +176,18 @@ class MasterEquation:
                 np.add.at(k, (c[i], c[j]), -0.5 * pairs[i, j])
             r, c = np.nonzero(k)
             v = k[r, c]
-            # K rho and rho K^dag
-            rows += [(r + d * idx[:, None]).ravel(), (idx + d * r[:, None]).ravel()]
-            cols += [(c + d * idx[:, None]).ravel(), (idx + d * c[:, None]).ravel()]
-            vals += [np.tile(v, d), np.repeat(v.conj(), d)]
-            coo = sparse.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(d * d, d * d)
-            )
-            self._liouvillian = coo.tocsc()
+            # K rho and rho K^dag, ahead of the jump terms
+            rows = [(r + d * idx[:, None]).ravel(), (idx + d * r[:, None]).ravel(), *rows]
+            cols = [(c + d * idx[:, None]).ravel(), (idx + d * c[:, None]).ravel(), *cols]
+            vals = [np.tile(v, d), np.repeat(v.conj(), d), *vals]
+            # each entry adds its terms in this order: on L's diagonal K_ii + conj(K_jj) for rho_ij and
+            # K_jj + conj(K_ii) for rho_ji first, conjugates, then conjugate jump terms.  So L maps rho_ji
+            # to the exact conjugate of what it maps rho_ij to (a sum in another order could miss it)
+            n = d * d
+            entry, where = np.unique(np.concatenate(rows) + n * np.concatenate(cols), return_inverse=True)
+            values = np.zeros(entry.size, dtype=complex)
+            np.add.at(values, where, np.concatenate(vals))
+            self._liouvillian = sparse.csc_matrix((values, (entry % n, entry // n)), shape=(n, n))
         return self._liouvillian
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:

@@ -144,14 +144,14 @@ def run_scan(cfg: SpectroscopyConfig) -> ScanResult:
     frame invariants, so its excitation numbers match the time-averaged
     two-tone dynamics.  The points share one ``_shifted_solver``, which
     reduces the pump's system to real Schur form once and solves the
-    quasi-triangular systems of the whole grid in one pass (0.11 s against
-    1.0 s per pump at the default ``n_levels=12`` and 241 points); a point
-    whose Schur solve misses the residual bound, or every point of a pump
-    the reduction cannot serve, is factorized on its own.
+    quasi-triangular systems of the whole grid in one pass (0.06 s against
+    0.55 s per pump at the default ``n_levels=12`` and 241 points, 2-core
+    x86); a point whose Schur solve misses the residual bound, or every
+    point of a pump the reduction cannot serve, is factorized on its own.
     Or the exact period average of the pump-frame generator plus the probe
     tone H(t) = 2 cos(omega_s t) A (``solver="timeaveraged"``), which keeps
-    that component: one harmonic solve per point, ~600x the cost of a
-    co-rotating Schur point (0.14 s against 0.2 ms at ``n_levels=12``).
+    that component: one harmonic solve per point, ~500x the cost of a
+    co-rotating Schur point (60 ms against 0.12 ms at ``n_levels=12``).
     Per-point numeric failures are recorded and the scan continues.
     ``metadata["point_solves"]`` holds each point's ``solve`` path,
     ``residual`` and ``clipped_weight`` (None for a failed point), and
@@ -229,10 +229,11 @@ def pump_label(cfg: SpectroscopyConfig, amp: float) -> float:
 
 def pump_family(cfg: SpectroscopyConfig, pump_amps) -> list[ScanResult]:
     """One scan per pump strength, labeled by ``pump_label``."""
+    labels = [pump_label(cfg, amp) for amp in pump_amps]  # refuses Gamma(omega_-) = 0 before any scan
     out = []
-    for amp in pump_amps:
+    for amp, label in zip(pump_amps, labels):
         result = run_scan(replace(cfg, pump_amp=float(amp)))
-        result.metadata["label_n_ss"] = pump_label(cfg, amp)
+        result.metadata["label_n_ss"] = label
         out.append(result)
     return out
 

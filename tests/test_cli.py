@@ -42,11 +42,12 @@ def test_config_errors_name_the_table():
         resolve_config({"rates": {"Gama": 0.1}}, {})
     with pytest.raises(ConfigError, match=r"^expected a table at top level, got list$"):
         resolve_config([], {})
-    with pytest.raises(ConfigError, match=r"^relax\.dt must be a finite number > 0, got -1$"):
-        resolve_config({"relax": {"dt": -1}}, {})
+    with pytest.raises(ConfigError, match=r"^relax\.sample_interval must be a finite number > 0, got -1$"):
+        resolve_config({"relax": {"sample_interval": -1}}, {})
     for table, key, value in (("rates", "Gamma_table", [[0.9, 0.001], [1.1, 0.002]]),
                               ("rates", "gamma_table", [[0.2, 0.0001], [0.4, 0.0002]]),
-                              ("spectroscopy", "pump_amps", [0.001])):
+                              ("spectroscopy", "pump_amps", [0.001]),
+                              ("relax", "dt", 0.02), ("relax", "stride", 20)):
         with pytest.raises(ConfigError, match=rf"^unknown config keys at {table}: \['{key}'\]$"):
             resolve_config({table: {key: value}}, {})
 
@@ -75,11 +76,12 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("validate", {"rates": {"Gamma": float("nan")}}, []),
         ("drive", {}, ["--n-levels", "100"]),
         ("drive", {"params": {"omega0": -0.1}}, []),
-        ("relax", {"relax": {"dt": float("nan")}}, []),
+        ("relax", {"relax": {"sample_interval": float("nan")}}, []),
         ("relax", {"relax": {"t_end_over_rate": float("inf")}}, []),
         ("relax", {"relax": {"t_end_over_rate": -1}}, []),
-        ("relax", {"relax": {"stride": 0}}, []),
-        ("relax", {"relax": {"stride": 2.5}}, []),
+        ("relax", {"relax": {"sample_interval": 0}}, []),
+        # one sample interval, not a step and a stride
+        ("relax", {"relax": {"stride": 20}}, []),
         ("relax", {"relax": {"beta_grid": [float("nan")]}}, []),
         ("relax", {"relax": {"beta_grid": 0.1}}, []),
         ("validate", {"n_cut": 2.5}, []),
@@ -119,7 +121,7 @@ def test_seedless_flag_rejected(tmp_path, capsys):
         ("spectrum", {"spectrum": {"keep": 30}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.0], "grid_points": 3}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [1.0, -1.0], "grid_points": 3}}, []),
-        ("spectroscopy", {"spectroscopy": {"baselines": [1.0, 1.000001], "grid_points": 3}}, []),
+        ("spectroscopy", {"spectroscopy": {"baselines": [2.0, 1.0, 2], "grid_points": 3}}, []),
         # Gamma(omega_-) = 0 gives every pump amplitude 0 and leaves pump_label no rate to divide by
         ("spectroscopy", {"rates": {"Gamma": 0.0}, "spectroscopy": {"baselines": [1.0], "grid_points": 3}}, []),
         ("spectroscopy", {"spectroscopy": {"baselines": [0.0], "grid_points": 3}}, []),
@@ -169,7 +171,7 @@ def test_tiny_beta_runs_without_a_ladder_bound(tmp_path, beta):
                                   "n_levels": 2, "fidelity": {"n_states": 2, "grid": [{"omega0": 0.3, "beta": beta}]}})
     for command in ("validate", "fidelity"):
         assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
-    assert json.loads((tmp_path / "validate" / "validate.json").read_text())["report"]["n_max"] is None
+    assert json.loads((tmp_path / "validate" / "validate.meta.json").read_text())["validity"]["n_max"] is None
 
 
 def _reject_constant(name):
@@ -180,9 +182,8 @@ def test_outputs_are_strict_json(tmp_path):
     # no rates: the secular margin is infinite, which JSON writes as null
     cfg = write_config(tmp_path, {**BASE, "rates": {"Gamma": 0.0, "gamma": 0.0}})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "zero")]) == 0
-    for name, key in (("validate.json", "report"), ("validate.meta.json", "validity")):
-        text = (tmp_path / "zero" / name).read_text(encoding="utf-8")
-        assert json.loads(text, parse_constant=_reject_constant)[key]["secular_margin"] is None
+    text = (tmp_path / "zero" / "validate.meta.json").read_text(encoding="utf-8")
+    assert json.loads(text, parse_constant=_reject_constant)["validity"]["secular_margin"] is None
 
 
 # one small run of every command
@@ -193,7 +194,7 @@ TINY = {
     "n_levels": 3,
     "spectrum": {"keep": 2},
     "fidelity": {"n_states": 2, "grid": [{"omega0": 0.3, "beta": 0.1}]},
-    "relax": {"t_end_over_rate": 0.5, "dt": 0.1, "stride": 1, "beta_grid": [0.1]},
+    "relax": {"t_end_over_rate": 0.5, "sample_interval": 0.1, "beta_grid": [0.1]},
     "drive": {"pump_amps": [0.05]},
     "spectroscopy": {"baselines": [1.0], "grid_points": 2, "span": [1.0, 3.0]},
 }
@@ -214,8 +215,21 @@ def test_validity_is_graded_once_per_run(tmp_path, monkeypatch, command):
     assert len(reports) == 1
     meta = json.loads((tmp_path / "out" / f"{command}.meta.json").read_text())
     assert meta["validity"] == cli._jsonable(asdict(reports[0]))
-    if command == "validate":
-        assert json.loads((tmp_path / "out" / "validate.json").read_text())["report"] == meta["validity"]
+
+
+@pytest.mark.parametrize("command, tables", [
+    ("spectrum", ["spectrum.csv"]),
+    ("fidelity", ["fidelity.csv"]),
+    ("relax", ["relax.csv", "relax_distance.csv"]),
+    ("drive", ["drive.csv"]),
+    ("spectroscopy", ["spectroscopy_combined.csv"]),
+    ("validate", []),
+])
+def test_each_command_writes_its_tables_and_one_sidecar(tmp_path, command, tables):
+    cfg = write_config(tmp_path, TINY)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == sorted([*tables, f"{command}.meta.json"])
+    assert json.loads((tmp_path / "out" / f"{command}.meta.json").read_text())["files"] == tables
 
 
 def test_default_drive_warns_nothing_and_files_the_comfort_note(tmp_path):
@@ -242,8 +256,7 @@ def test_validate_command(tmp_path, capsys):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "quasi-degenerate qubit: True" in out
-    report = json.loads((tmp_path / "validate.json").read_text())
-    assert report["report"]["beta_ok"] is True
+    assert json.loads((tmp_path / "validate.meta.json").read_text())["validity"]["beta_ok"] is True
     # degenerate-qubit note
     cfg0 = write_config(tmp_path, {**BASE, "params": {"omega": 1.0, "omega0": 0.0, "beta": 0.1}})
     assert main(["validate", "--config", cfg0, "--out", str(tmp_path)]) == 0
@@ -319,8 +332,7 @@ def test_relax_command(tmp_path):
         {
             **BASE,
             "rates": {"Gamma": 0.1, "gamma": 0.05, "gamma_f": 0.0},
-            "relax": {"t_end_over_rate": 2.0, "dt": 0.02, "stride": 20,
-                      "beta_grid": [0.05, 0.1, 0.2]},
+            "relax": {"t_end_over_rate": 2.0, "sample_interval": 0.4, "beta_grid": [0.05, 0.1, 0.2]},
         },
     )
     out = tmp_path / "relax"
@@ -379,9 +391,11 @@ def test_spectroscopy_command(tmp_path):
     )
     out = tmp_path / "spec"
     assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
-    files = sorted(f.name for f in out.glob("*.csv"))
-    assert "spectroscopy_combined.csv" in files
-    assert sum(f.startswith("spectroscopy_scan_") for f in files) == 2
+    header, *rows = [line.split(",") for line in (out / "spectroscopy_combined.csv").read_text().splitlines()
+                     if not line.startswith("#")]
+    assert header == ["label_n_ss", "omega_s", "normalized_detuning", "n_ss", "percent_reduction"]
+    # one block of grid points per pump, in the order of the baselines
+    assert [float(row[0]) for row in rows] == pytest.approx([0.5] * 11 + [1.0] * 11, rel=1e-12)
     meta = json.loads((out / "spectroscopy.meta.json").read_text())
     assert meta["failures"] == []
     assert len(meta["baselines"]) == 2
@@ -422,12 +436,12 @@ def test_spectroscopy_sidecar_summarizes_every_pump(tmp_path, monkeypatch):
         assert 0.0 <= pump["clipped_weight_max"] < 1e-10
         assert pump["baseline_residual"] <= 1e-10 * 0.3
     # the shared record holds no per-pump value, the per-point records stay out of
-    # the sidecar, and the tables gain no column
+    # the sidecar, and the table gains no column
     for key in ("pump_amp", "label_n_ss", "baseline_residual", "point_solver", "point_solves"):
         assert key not in meta["scan_metadata"]
     assert meta["scan_metadata"]["n_levels"] == 4 and meta["scan_metadata"]["solver"] == "corotating"
-    header = [line for line in (out / "spectroscopy_scan_n1.csv").read_text().splitlines() if not line.startswith("#")][0]
-    assert header == "omega_s,normalized_detuning,n_ss,percent_reduction"
+    header = [line for line in (out / "spectroscopy_combined.csv").read_text().splitlines() if not line.startswith("#")][0]
+    assert header == "label_n_ss,omega_s,normalized_detuning,n_ss,percent_reduction"
 
 
 def test_spectroscopy_ignores_integrator_keys(tmp_path):
@@ -452,7 +466,7 @@ def test_spectroscopy_ignores_integrator_keys(tmp_path):
 
 def test_spectroscopy_labels_follow_the_pump_rate(tmp_path, monkeypatch):
     # with a sloped Gamma, Gamma(omega) != Gamma(omega_-); the requested
-    # baseline 1 still names its file, because amplitudes and labels share a rate
+    # baseline 1 still labels its rows, because amplitudes and labels share a rate
     sloped = RateFunctions(Gamma=lambda w: float(np.interp(w, [0.9, 1.1], [0.0016, 0.0020])), gamma=0.000228)
     monkeypatch.setattr(cli, "_build_rates", lambda cfg: sloped)
     cfg_path = write_config(
@@ -460,7 +474,9 @@ def test_spectroscopy_labels_follow_the_pump_rate(tmp_path, monkeypatch):
     )
     out = tmp_path / "sloped"
     assert main(["spectroscopy", "--config", cfg_path, "--out", str(out)]) == 0
-    assert (out / "spectroscopy_scan_n1.csv").exists()
+    rows = [line.split(",") for line in (out / "spectroscopy_combined.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [float(row[0]) for row in rows] == pytest.approx([1.0] * 3, rel=1e-12)
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
